@@ -83,7 +83,7 @@ _bootstrap_by_value()
 # deterministic check corpus (the input_hint table) + encoded outputs
 # ---------------------------------------------------------------------------
 
-ENGINE_TAG = "r8"  # bump when codec bytes change so stale /tmp encodes drop
+ENGINE_TAG = "r9"  # bump when codec bytes or index layouts change so stale /tmp caches drop
 CORPUS_ROWS, CORPUS_SHARDS = 8_000, 4
 CORPUS_DIR = f"/tmp/raquet_corpus_check_{CORPUS_ROWS}x{CORPUS_SHARDS}"
 ROWS_PER_SHARD = CORPUS_ROWS // CORPUS_SHARDS
@@ -1280,10 +1280,11 @@ def _q_phrase_indexed(sf_dir: str):
     import ray.data as rd
 
     from duckdb_raquet_ray.pipelines import retrieval
+    from duckdb_raquet_ray.state import bucket_index
 
     tag = os.path.basename(os.path.normpath(sf_dir))
     idx_dir = f"/tmp/raquet_posidx_{tag}_{ENGINE_TAG}"
-    if not os.path.isdir(os.path.join(idx_dir, "positions")):
+    if not os.path.exists(os.path.join(idx_dir, bucket_index.MARKER)):
         ds = rd.read_parquet(
             os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
         )
@@ -1567,6 +1568,7 @@ def _q_incremental_dedup(sf_dir: str):
     import ray.data as rd
 
     from duckdb_raquet_ray.pipelines import dedup
+    from duckdb_raquet_ray.state import bucket_index
 
     docs = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -1586,7 +1588,7 @@ def _q_incremental_dedup(sf_dir: str):
     )
     tag = os.path.basename(os.path.normpath(sf_dir))
     idx_dir = f"/tmp/raquet_incdedup_{tag}_{ENGINE_TAG}"
-    if not os.path.isdir(idx_dir):
+    if not os.path.exists(os.path.join(idx_dir, bucket_index.MARKER)):
         dedup.build_content_index(old, idx_dir)
     return dedup.incremental_exact_dedup(new, idx_dir).select_columns(
         ["doc_id", "text"]
@@ -1605,6 +1607,7 @@ def _q_incremental_minhash(sf_dir: str):
     import ray.data as rd
 
     from duckdb_raquet_ray.pipelines import dedup
+    from duckdb_raquet_ray.state import bucket_index
 
     docs = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -1633,7 +1636,7 @@ def _q_incremental_minhash(sf_dir: str):
     # 8 bands x 8 rows: the no-verify tier needs a steep collision curve
     # (P = j^8 per band) so the LSH decision alone approximates the
     # verified tier's 0.8 threshold (j* = (1/8)^(1/8) ~ 0.77)
-    if not os.path.isdir(idx_dir):
+    if not os.path.exists(os.path.join(idx_dir, bucket_index.MARKER)):
         dedup.build_minhash_index(old, idx_dir, bands=8)
     return dedup.incremental_minhash_dedup(new, idx_dir, bands=8).select_columns(
         ["doc_id", "text"]
@@ -1891,10 +1894,11 @@ def _q_ivfpq_topk(sf_dir: str):
     import ray.data as rd
 
     from duckdb_raquet_ray.pipelines import ann
+    from duckdb_raquet_ray.state import bucket_index
 
     tag = os.path.basename(os.path.normpath(sf_dir))
     idx_dir = f"/tmp/raquet_ivfpq_{tag}_{ENGINE_TAG}"
-    if not os.path.exists(os.path.join(idx_dir, "pq.json")):
+    if not os.path.exists(os.path.join(idx_dir, bucket_index.MARKER)):
         ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
         # the cached _pq_codebook IS the codebook the SQL oracle inlines —
         # passing it in pins index and oracle to one codebook by construction
@@ -2796,6 +2800,7 @@ def _q_ivf_topk(sf_dir: str):
     import ray.data as rd
 
     from duckdb_raquet_ray.pipelines import ann
+    from duckdb_raquet_ray.state import bucket_index
 
     # persisted bucket layout (built once per sf dir, reused): probes are
     # partition-pruned reads. Probing ALL centroids makes the result exact,
@@ -2803,7 +2808,7 @@ def _q_ivf_topk(sf_dir: str):
     # is pytest territory (data-dependent).
     tag = os.path.basename(os.path.normpath(sf_dir))
     idx_dir = f"/tmp/raquet_ivf_{tag}_{ENGINE_TAG}"
-    if not os.path.exists(os.path.join(idx_dir, "centroids.json")):
+    if not os.path.exists(os.path.join(idx_dir, bucket_index.MARKER)):
         ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
         ann.build_ivf_index(ds, idx_dir)
     t = ann.ivf_topk_indexed(idx_dir, _query_vec(), k=10, n_probe=16)
@@ -2813,29 +2818,30 @@ def _q_ivf_topk(sf_dir: str):
 def _q_ivf_append_topk(sf_dir: str):
     """Incremental IVF ingest (ann.append_ivf_index): the index is built
     on the first half of the embeddings, the second half appends under
-    the FROZEN centroids (staged write + deterministic rename + marker —
+    the FROZEN centroids (a marker-gated bucket-index append —
     killed/re-run appends never duplicate vectors); a full-probe query
     then equals exact brute force over the UNION, which the SQL cosine
     oracle checks."""
     import ray.data as rd
 
     from duckdb_raquet_ray.pipelines import ann
+    from duckdb_raquet_ray.state import bucket_index
 
     tag = os.path.basename(os.path.normpath(sf_dir))
     idx_dir = f"/tmp/raquet_ivfapp_{tag}_{ENGINE_TAG}"
     src = os.path.join(sf_dir, "embeddings.parquet")
-    if not os.path.exists(os.path.join(idx_dir, "centroids.json")):
-        ds = rd.read_parquet(src)
-
+    ds = rd.read_parquet(src)
+    if not os.path.exists(os.path.join(idx_dir, bucket_index.MARKER)):
         ann.build_ivf_index(
             ds.map_batches(_key_half(True, key="vec_id"), batch_format="pyarrow"),
             idx_dir,
         )
-        ann.append_ivf_index(
-            ds.map_batches(_key_half(False, key="vec_id"), batch_format="pyarrow"),
-            idx_dir,
-            append_id="second-half",
-        )
+    # a completed append is a no-op; a killed one is finished here
+    ann.append_ivf_index(
+        ds.map_batches(_key_half(False, key="vec_id"), batch_format="pyarrow"),
+        idx_dir,
+        append_id="second-half",
+    )
     t = ann.ivf_topk_indexed(idx_dir, _query_vec(), k=10, n_probe=16)
     return t.select(["vec_id", "rank"])
 
@@ -3433,10 +3439,11 @@ def _q_bm25_indexed(sf_dir: str):
     (retrieval.build_text_index / bm25_topk_indexed; the
     ivf_topk_indexed discipline applied to lexical retrieval)."""
     from duckdb_raquet_ray.pipelines import retrieval
+    from duckdb_raquet_ray.state import bucket_index
 
     tag = os.path.basename(os.path.normpath(sf_dir))
     idx_dir = f"/tmp/raquet_textidx_{tag}_{ENGINE_TAG}"
-    if not os.path.exists(os.path.join(idx_dir, "meta.json")):
+    if not os.path.exists(os.path.join(idx_dir, bucket_index.MARKER)):
         import ray.data as rd
 
         ds = rd.read_parquet(
@@ -3453,15 +3460,13 @@ def _q_bm25_append(sf_dir: str):
     then probe; must equal the one-shot full-corpus build, so it shares
     bm25_topk_docs' oracle (retrieval.append_text_index — the
     encode.append_job discipline applied to retrieval)."""
-    import shutil
-
     import ray.data as rd
 
     from duckdb_raquet_ray.pipelines import retrieval
 
     tag = os.path.basename(os.path.normpath(sf_dir))
+    # build_text_index clears the dir, so every call rebuilds then appends
     idx_dir = f"/tmp/raquet_textidx_append_{tag}_{ENGINE_TAG}"
-    shutil.rmtree(idx_dir, ignore_errors=True)  # append is NOT idempotent
     ds = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
     )

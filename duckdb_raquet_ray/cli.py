@@ -488,12 +488,14 @@ def main(argv: list[str] | None = None) -> None:
 
             from . import util
             from .pipelines import dedup as dd
+            from .state import bucket_index
 
             ds = util.clean_dataset(rd.read_parquet(_inputs(args.input)))
             if getattr(args, "index", None):
                 if args.method != "minhash":
                     raise SystemExit("--index requires --method minhash")
-                if not os.path.isdir(args.index) or not os.listdir(args.index):
+                # marker-gated: a killed first build is rebuilt, not probed
+                if not os.path.exists(os.path.join(args.index, bucket_index.MARKER)):
                     dd.build_minhash_index(
                         ds, args.index, text_col=args.text_col,
                         key_col=args.key_col, bands=8,

@@ -22,33 +22,14 @@ import struct
 
 import numpy as np
 
+from ._hardening import corrupt_boundary
+
 _GIF87 = b"GIF87a"
 _GIF89 = b"GIF89a"
 
 # interlace passes: (start row, step)
 _INTERLACE = ((0, 8), (4, 8), (2, 4), (1, 2))
 
-
-
-def _corrupt_boundary(fn):
-    """Decode-boundary hardening (fuzz-verified): truncated or
-    bit-flipped streams must surface as the codec's named ValueError,
-    never a raw IndexError/KeyError/OverflowError/struct.error/
-    zlib.error from deep in the parse."""
-    import functools
-    import struct as _struct
-    import zlib as _zlib
-
-    @functools.wraps(fn)
-    def wrapper(data, *a, **kw):
-        try:
-            return fn(data, *a, **kw)
-        except (IndexError, KeyError, OverflowError, _struct.error, _zlib.error) as e:
-            raise ValueError(
-                f"corrupt stream: {type(e).__name__} during parse"
-            ) from e
-
-    return wrapper
 
 def sniff_gif(data: bytes) -> bool:
     return data[:6] in (_GIF87, _GIF89)
@@ -239,7 +220,7 @@ def _sub_blocks(data: bytes, pos: int) -> tuple[bytes, int]:
     return b"".join(chunks), pos
 
 
-@_corrupt_boundary
+@corrupt_boundary()
 def gif_frames(data: bytes) -> list[dict]:
     """Decode ALL frames, composited onto the logical screen.
 
@@ -324,7 +305,7 @@ def gif_frames(data: bytes) -> list[dict]:
     return frames
 
 
-@_corrupt_boundary
+@corrupt_boundary()
 def gif_decode(data: bytes) -> np.ndarray:
     """First composited frame as (h, w, 3) uint8 RGB."""
     return gif_frames(data)[0]["rgb"]

@@ -27,31 +27,11 @@ import zlib
 import numpy as np
 
 from . import gifcodec, jpegcodec, webpcodec
+from ._hardening import corrupt_boundary
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 _CHANNELS = {0: 1, 2: 3, 6: 4}
 
-
-
-def _corrupt_boundary(fn):
-    """Decode-boundary hardening (fuzz-verified): truncated or
-    bit-flipped streams must surface as the codec's named ValueError,
-    never a raw IndexError/KeyError/OverflowError/struct.error/
-    zlib.error from deep in the parse."""
-    import functools
-    import struct as _struct
-    import zlib as _zlib
-
-    @functools.wraps(fn)
-    def wrapper(data, *a, **kw):
-        try:
-            return fn(data, *a, **kw)
-        except (IndexError, KeyError, OverflowError, _struct.error, _zlib.error) as e:
-            raise ValueError(
-                f"corrupt stream: {type(e).__name__} during parse"
-            ) from e
-
-    return wrapper
 
 def sniff(data: bytes) -> str | None:
     """'png' | 'jpeg' | 'gif' | 'webp' | 'ppm' | 'pgm' | None from magic bytes."""
@@ -126,7 +106,7 @@ def _unfilter(raw: np.ndarray, height: int, stride: int, bpp: int) -> np.ndarray
     return out.astype(np.uint8)
 
 
-@_corrupt_boundary
+@corrupt_boundary()
 def png_decode(data: bytes) -> np.ndarray:
     """PNG bytes -> uint8 pixel array (H, W) or (H, W, C)."""
     if data[:8] != _PNG_SIG:
@@ -198,7 +178,7 @@ def png_encode(img: np.ndarray, filter_type: int = 0, level: int = 6) -> bytes:
     )
 
 
-@_corrupt_boundary
+@corrupt_boundary()
 def ppm_decode(data: bytes) -> np.ndarray:
     """Binary PPM (P6) / PGM (P5), maxval 255 -> uint8 array."""
     magic = data[:2]

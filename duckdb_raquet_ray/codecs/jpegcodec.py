@@ -37,6 +37,8 @@ import struct
 
 import numpy as np
 
+from ._hardening import corrupt_boundary
+
 # zigzag scan order: zigzag index -> row-major index in the 8x8 block
 ZIGZAG = np.array(
     [
@@ -265,6 +267,7 @@ def _ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
 
 
+@corrupt_boundary("JPEG")
 def jpeg_decode(data: bytes) -> np.ndarray:
     """JPEG bytes -> uint8 (H, W) gray or (H, W, 3) RGB.
 
@@ -283,17 +286,6 @@ def jpeg_decode(data: bytes) -> np.ndarray:
     SCAN boundary decodes to the coarser partial render — that is the
     format's own incremental-refinement semantics, the same behavior
     browsers exhibit on partial progressive downloads."""
-    try:
-        return _jpeg_decode_inner(data)
-    except (IndexError, KeyError, OverflowError, struct.error) as e:
-        # slicing/unpacking past the end of a truncated stream, a
-        # reference to an undefined quant/huffman table slot, or
-        # header fields flipped to absurd magnitudes — surface every
-        # parse-corruption manifestation as the codec's named error
-        raise ValueError(f"corrupt JPEG: {type(e).__name__} during parse") from e
-
-
-def _jpeg_decode_inner(data: bytes) -> np.ndarray:
     if not sniff(data):
         raise ValueError("not a JPEG (bad SOI)")
     pos = 2

@@ -22,34 +22,14 @@ import struct
 import numpy as np
 
 from . import jpegcodec
+from ._hardening import corrupt_boundary
 
-
-
-def _corrupt_boundary(fn):
-    """Decode-boundary hardening (fuzz-verified): truncated or
-    bit-flipped streams must surface as the codec's named ValueError,
-    never a raw IndexError/KeyError/OverflowError/struct.error/
-    zlib.error from deep in the parse."""
-    import functools
-    import struct as _struct
-    import zlib as _zlib
-
-    @functools.wraps(fn)
-    def wrapper(data, *a, **kw):
-        try:
-            return fn(data, *a, **kw)
-        except (IndexError, KeyError, OverflowError, _struct.error, _zlib.error) as e:
-            raise ValueError(
-                f"corrupt stream: {type(e).__name__} during parse"
-            ) from e
-
-    return wrapper
 
 def sniff(data: bytes) -> bool:
     return data[:4] == b"RIFF" and data[8:12] == b"AVI "
 
 
-@_corrupt_boundary
+@corrupt_boundary()
 def avi_frames(data: bytes) -> list[bytes]:
     """AVI bytes -> raw frame payloads (JPEG bytes for MJPEG), in stream
     order."""

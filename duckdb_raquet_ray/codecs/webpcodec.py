@@ -54,6 +54,7 @@ import struct
 import numpy as np
 
 from duckdb_raquet_ray.codecs import syswebp
+from duckdb_raquet_ray.codecs._hardening import corrupt_boundary
 
 # ---------------------------------------------------------------------------
 # bit reader (LSB-first, like DEFLATE)
@@ -178,27 +179,6 @@ class _Huffman:
 # code-length-code read order (spec)
 _CLC_ORDER = [17, 18, 0, 1, 2, 3, 4, 5, 16, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
 
-
-
-def _corrupt_boundary(fn):
-    """Decode-boundary hardening (fuzz-verified): truncated or
-    bit-flipped streams must surface as the codec's named ValueError,
-    never a raw IndexError/KeyError/OverflowError/struct.error/
-    zlib.error from deep in the parse."""
-    import functools
-    import struct as _struct
-    import zlib as _zlib
-
-    @functools.wraps(fn)
-    def wrapper(data, *a, **kw):
-        try:
-            return fn(data, *a, **kw)
-        except (IndexError, KeyError, OverflowError, _struct.error, _zlib.error) as e:
-            raise ValueError(
-                f"corrupt stream: {type(e).__name__} during parse"
-            ) from e
-
-    return wrapper
 
 def _simple_huffman(syms: list[int]) -> _Huffman:
     """Tree for a SIMPLE code: spec assigns code 0 to the first-READ
@@ -551,7 +531,7 @@ def sniff_webp(data: bytes) -> str | None:
     return "vp8x"
 
 
-@_corrupt_boundary
+@corrupt_boundary()
 def webp_decode(data: bytes) -> np.ndarray:
     """RIFF/WEBP VP8L -> (h, w, 3) uint8 RGB (alpha dropped if opaque,
     else (h, w, 4) RGBA)."""
@@ -1249,7 +1229,7 @@ def webp_encode_frames(
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WEBP" + body
 
 
-@_corrupt_boundary
+@corrupt_boundary()
 def webp_frames(data: bytes) -> list[np.ndarray]:
     """Animated (VP8X) WebP -> list of COMPOSITED (h, w, 3) RGB canvases,
     one per ANMF frame: each frame's VP8L rect decodes independently and

@@ -18,9 +18,6 @@ list_cosine_similarity oracle bit-for-bit on ranking.
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -30,6 +27,7 @@ import ray.data as rd
 
 from .. import util
 from ..functions import detmix
+from ..state import bucket_index
 
 
 def _matrix(batch_col: pa.ChunkedArray | pa.Array, dim: int | None = None) -> np.ndarray:
@@ -173,9 +171,6 @@ def ivf_topk(
     return brute_force_topk(filtered, query, k, vec_col, key_col)
 
 
-_CENTROIDS_JSON = "centroids.json"
-
-
 def build_ivf_index(
     ds: rd.Dataset,
     out_dir: str,
@@ -184,79 +179,34 @@ def build_ivf_index(
     **train_kw,
 ) -> IvfIndex:
     """Train the coarse index and PERSIST the bucket layout: the dataset is
-    rewritten as hive-partitioned Parquet (`ivf_bucket=<j>/...`) plus a
-    centroids.json, so every later probe opens ONLY its probed buckets'
+    rewritten as a bucket index (`ivf_bucket=<j>/...` Parquet, centroids
+    in the marker), so every later probe opens ONLY its probed buckets'
     files — the reference's partition-id pruning shape
     (/root/reference/src/raquet_extension.cpp:49-81) applied to vector
     search, and the fix for the r1 ivf_topk full-scan anti-pattern. The
     write is a streamed map_batches write (no shuffle: each task splits its
     own batch across bucket subdirectories)."""
     index = IvfIndex.train(ds, vec_col, n_centroids=n_centroids, **train_kw)
-    os.makedirs(out_dir, exist_ok=True)
-    _clean_index_dir(out_dir)  # a killed prior build must not leave files a probe would double-read
-    index.add_buckets(ds, vec_col).write_parquet(out_dir, partition_cols=["ivf_bucket"])
-    payload = {"centroids": index.centroids.tolist(), "n_centroids": len(index.centroids)}
-    tmp = os.path.join(out_dir, _CENTROIDS_JSON + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(payload, f)
-    os.replace(tmp, os.path.join(out_dir, _CENTROIDS_JSON))
+    bucket_index.build(
+        index.add_buckets(ds, vec_col), out_dir, "ivf_bucket",
+        {"centroids": index.centroids.tolist(), "n_centroids": len(index.centroids)},
+    )
     return index
 
 
-def _probed_files(index_dir: str, buckets) -> list[str]:
-    """Explicit parquet file list of the probed hive buckets (ray.data's
-    multi-path read_parquet expects files) — shared by the IVF and IVF-PQ
-    probes so the listing discipline cannot drift."""
-    files: list[str] = []
-    for b in buckets:
-        d = os.path.join(index_dir, f"ivf_bucket={b}")
-        if os.path.isdir(d):
-            files += sorted(
-                os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet")
-            )
-    return files
-
-
-def _index_key_type(index_dir: str, key_col: str, files: list[str]) -> pa.DataType:
-    """Key type of an on-disk index (from any data file footer; int64 when
-    the probed set is empty and no file exists to consult)."""
-    import glob as _glob
-
-    probe = files or sorted(
-        _glob.glob(os.path.join(index_dir, "ivf_bucket=*", "*.parquet"))
+def _empty_topk(index_dir: str, n_buckets: int, key_col: str, sim_type) -> pa.Table:
+    """Typed empty result for a probe whose buckets hold no rows (the key
+    type comes from any data file footer; int64 when the index is empty)."""
+    files = bucket_index.bucket_files(index_dir, range(n_buckets))
+    kt = pq.read_schema(files[0]).field(key_col).type if files else pa.int64()
+    return pa.table(
+        {key_col: pa.array([], kt), "sim": pa.array([], sim_type),
+         "rank": pa.array([], pa.int64())}
     )
-    if probe:
-        try:
-            import pyarrow.parquet as _pq
-
-            return _pq.read_schema(probe[0]).field(key_col).type
-        except Exception:
-            pass
-    return pa.int64()
-
-
-def _clean_index_dir(out_dir: str) -> None:
-    """Reset an index dir before a (re)build: remove the completion marker
-    FIRST (probes refuse a marker-less dir), then stale bucket dirs — a
-    rebuild into a dir holding a prior/partial run would otherwise append
-    a second copy of every vector (Ray's write_parquet never overwrites)
-    and probes would return duplicate keys."""
-    import shutil as _shutil
-
-    for name in (_CENTROIDS_JSON, _PQ_JSON):
-        try:
-            os.remove(os.path.join(out_dir, name))
-        except FileNotFoundError:
-            pass
-    for d in sorted(os.listdir(out_dir)):
-        if d.startswith("ivf_bucket="):
-            _shutil.rmtree(os.path.join(out_dir, d), ignore_errors=True)
 
 
 def load_ivf_index(index_dir: str) -> IvfIndex:
-    with open(os.path.join(index_dir, _CENTROIDS_JSON)) as f:
-        payload = json.load(f)
-    return IvfIndex(np.asarray(payload["centroids"], dtype=np.float64))
+    return IvfIndex(np.asarray(bucket_index.meta(index_dir)["centroids"], dtype=np.float64))
 
 
 def append_ivf_index(
@@ -275,49 +225,12 @@ def append_ivf_index(
     are NOT retrained, so a drifting vector distribution degrades bucket
     balance — rebuild when imbalance grows.
 
-    Idempotence (the fsio staging discipline): the append writes to a
-    private staging dir, removes any `append-<id>-*` files a previously
-    KILLED attempt left in the live buckets, then renames staged files
-    to deterministic `append-<id>-<k>` names and records a marker LAST —
-    so a completed re-run is a no-op and a killed run's retry replaces
-    its own partial output instead of duplicating vectors.  Returns the
-    number of appended rows (0 for a skipped re-run)."""
-    import glob as _glob
-    import shutil
-
-    marker = os.path.join(index_dir, f"append-{append_id}.done.json")
-    if os.path.exists(marker):
-        return 0
+    Idempotence is the bucket-index append contract: a completed re-run
+    with the same `append_id` is a no-op, and a killed run's retry
+    replaces its own partial output instead of duplicating vectors.
+    Returns the number of appended rows (0 for a skipped re-run)."""
     index = load_ivf_index(index_dir)
-    staging = os.path.join(index_dir, f"_staging_append_{append_id}")
-    shutil.rmtree(staging, ignore_errors=True)
-    index.add_buckets(new_ds, vec_col).write_parquet(
-        staging, partition_cols=["ivf_bucket"]
-    )
-    # clean a prior killed attempt's partial move, then publish by rename
-    for f in _glob.glob(
-        os.path.join(index_dir, "ivf_bucket=*", f"append-{append_id}-*.parquet")
-    ):
-        os.remove(f)
-    n = 0
-    for bdir in sorted(_glob.glob(os.path.join(staging, "ivf_bucket=*"))):
-        dest_dir = os.path.join(index_dir, os.path.basename(bdir))
-        os.makedirs(dest_dir, exist_ok=True)
-        for k, f in enumerate(sorted(os.listdir(bdir))):
-            if not f.endswith(".parquet"):
-                continue
-            src = os.path.join(bdir, f)
-            n += pq.ParquetFile(src).metadata.num_rows
-            os.replace(
-                src,
-                os.path.join(dest_dir, f"append-{append_id}-{k:06}.parquet"),
-            )
-    shutil.rmtree(staging, ignore_errors=True)
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump({"append_id": str(append_id), "rows": int(n)}, f)
-    os.replace(tmp, marker)
-    return int(n)
+    return bucket_index.append(index.add_buckets(new_ds, vec_col), index_dir, append_id)
 
 
 def ivf_topk_indexed(
@@ -335,14 +248,9 @@ def ivf_topk_indexed(
     which is the oracle-checked configuration; recall at partial probe is
     property-tested instead (data-dependent)."""
     index = load_ivf_index(index_dir)
-    buckets = index.probe_buckets(query, n_probe)
-    files = _probed_files(index_dir, buckets)
+    files = bucket_index.bucket_files(index_dir, index.probe_buckets(query, n_probe))
     if not files:
-        kt = _index_key_type(index_dir, key_col, files)
-        return pa.table(
-            {key_col: pa.array([], kt), "sim": pa.array([], pa.float64()),
-             "rank": pa.array([], pa.int64())}
-        )
+        return _empty_topk(index_dir, len(index.centroids), key_col, pa.float64())
     ds = rd.read_parquet(files)
     return brute_force_topk(ds, query, k, vec_col, key_col)
 
@@ -721,9 +629,6 @@ FROM sim ORDER BY sim DESC, k LIMIT {int(k)}"""
 # reads only the m-byte code column, never the float embeddings)
 # ---------------------------------------------------------------------------
 
-_PQ_JSON = "pq.json"
-
-
 def build_ivfpq_index(
     ds: rd.Dataset,
     out_dir: str,
@@ -736,7 +641,8 @@ def build_ivfpq_index(
 ) -> tuple[IvfIndex, PqCodebook]:
     """Train IVF + PQ and persist the two-level layout: hive-partitioned
     `ivf_bucket=<j>/` Parquet whose rows carry `pq_code` (m uint8) next to
-    the key, plus centroids.json / pq.json. A probe then prunes at BOTH
+    the key, with centroids and codebook in the bucket-index marker
+    (state/bucket_index.py). A probe then prunes at BOTH
     levels: file-level (only probed buckets' directories open) and
     column-level (only key + pq_code read — m bytes/vector instead of the
     float plane). The reference's partition-pruning shape
@@ -745,24 +651,15 @@ def build_ivfpq_index(
     index = IvfIndex.train(ds, vec_col, n_centroids=n_centroids, **train_kw)
     if codebook is None:
         codebook = train_pq(ds, vec_col, m=m, ksub=ksub, **train_kw)
-    os.makedirs(out_dir, exist_ok=True)
-    _clean_index_dir(out_dir)  # see build_ivf_index: no double-read after a rebuild
-    with_codes = pq_encode(index.add_buckets(ds, vec_col), codebook, vec_col)
-    with_codes.write_parquet(out_dir, partition_cols=["ivf_bucket"])
-    for name, payload in (
-        (_CENTROIDS_JSON, {"centroids": index.centroids.tolist()}),
-        (_PQ_JSON, codebook.to_json()),
-    ):
-        tmp = os.path.join(out_dir, name + ".tmp")
-        with open(tmp, "w") as f:
-            json.dump(payload, f)
-        os.replace(tmp, os.path.join(out_dir, name))
+    bucket_index.build(
+        pq_encode(index.add_buckets(ds, vec_col), codebook, vec_col), out_dir,
+        "ivf_bucket", {"centroids": index.centroids.tolist(), "pq": codebook.to_json()},
+    )
     return index, codebook
 
 
 def load_pq_codebook(index_dir: str) -> PqCodebook:
-    with open(os.path.join(index_dir, _PQ_JSON)) as f:
-        return PqCodebook.from_json(json.load(f))
+    return PqCodebook.from_json(bucket_index.meta(index_dir)["pq"])
 
 
 def ivfpq_topk(
@@ -779,14 +676,9 @@ def ivfpq_topk(
     configuration; partial-probe recall is property-tested."""
     index = load_ivf_index(index_dir)
     codebook = load_pq_codebook(index_dir)
-    buckets = index.probe_buckets(query, n_probe)
-    files = _probed_files(index_dir, buckets)
+    files = bucket_index.bucket_files(index_dir, index.probe_buckets(query, n_probe))
     if not files:
-        kt = _index_key_type(index_dir, key_col, files)
-        return pa.table(
-            {key_col: pa.array([], kt), "sim": pa.array([], pa.int64()),
-             "rank": pa.array([], pa.int64())}
-        )
+        return _empty_topk(index_dir, len(index.centroids), key_col, pa.int64())
     ds = rd.read_parquet(files, columns=[key_col, "pq_code"])
     return pq_topk(ds, codebook, query, k=k, key_col=key_col)
 

@@ -20,8 +20,6 @@ deterministic, so results are stable across topologies.
 from __future__ import annotations
 
 import functools
-import glob
-import os
 
 import numpy as np
 import pandas as pd
@@ -33,6 +31,7 @@ from duckdb_raquet_ray import util
 from duckdb_raquet_ray.functions import detmix, words
 from duckdb_raquet_ray.pipelines import joins
 from duckdb_raquet_ray.pipelines.ann import _int8_matrix as ann_int8
+from duckdb_raquet_ray.state import bucket_index
 
 # ---------------------------------------------------------------------------
 # exact dedup: content hash -> hash-partitioned first-wins
@@ -2412,8 +2411,8 @@ def _dual_hash(batch: pa.Table, text_col: str) -> np.ndarray:
 def build_content_index(
     ds: rd.Dataset, index_dir: str, text_col: str = "text"
 ) -> int:
-    """Persist the corpus's content-hash index as hive-bucketed Parquet
-    (`hb=<h1 % 256>/`): O(16 B/doc) on disk, and a future probe opens
+    """Persist the corpus's content-hash index as a bucket index
+    (state/bucket_index.py, `hb=<h1 % 256>/`): O(16 B/doc) on disk, and a future probe opens
     ONLY the buckets its new docs hash into. Returns indexed row count."""
 
     def hashes(b: pa.Table) -> pa.Table:
@@ -2427,17 +2426,57 @@ def build_content_index(
             }
         )
 
-    os.makedirs(index_dir, exist_ok=True)
-    pre = set(glob.glob(os.path.join(index_dir, "hb=*", "*.parquet")))
     hds = util.clean_dataset(ds).map_batches(hashes, batch_format="pyarrow")
-    hds.write_parquet(index_dir, partition_cols=["hb"])
-    # indexed row count from the footers written THIS call (pre/post set
-    # diff) — a ds.count() would re-execute the whole input pipeline, and
-    # counting every file would over-count a dir holding a prior build
-    return sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in set(glob.glob(os.path.join(index_dir, "hb=*", "*.parquet"))) - pre
-    )
+    return bucket_index.build(hds, index_dir, "hb")
+
+
+class _PairIndex:
+    """Per-actor view of a bucket index of (a, b) integer pairs bucketed
+    by `a % _INDEX_BUCKETS` — the loader behind both incremental probes
+    (content hashes and MinHash band cells). Each touched bucket is read
+    once per actor and kept lexsorted for searchsorted membership; a
+    bucket no batch touches is never opened."""
+
+    def __init__(self, index_dir: str, cols: tuple[str, str], dtype):
+        self._dir, self._cols, self._dtype = index_dir, cols, dtype
+        self._cache: dict[int, np.ndarray] = {}
+
+    def _bucket(self, b: int) -> np.ndarray:
+        got = self._cache.get(b)
+        if got is None:
+            files = bucket_index.bucket_files(self._dir, [b])
+            if files:
+                t = pa.concat_tables([pq.read_table(f, columns=list(self._cols)) for f in files])
+                h = np.stack(
+                    [t.column(c).to_numpy(zero_copy_only=False).astype(self._dtype)
+                     for c in self._cols],
+                    axis=1,
+                )
+                got = h[np.lexsort((h[:, 1], h[:, 0]))]
+            else:
+                got = np.zeros((0, 2), self._dtype)
+            self._cache[b] = got
+        return got
+
+    def contains(self, pairs: np.ndarray) -> np.ndarray:
+        """Bool per row of the (n, 2) `pairs`: is that exact pair indexed?"""
+        hit = np.zeros(len(pairs), dtype=bool)
+        bucket_of = pairs[:, 0] % _INDEX_BUCKETS
+        for b in np.unique(bucket_of).astype(int):
+            idx = self._bucket(int(b))
+            if len(idx) == 0:
+                continue
+            rows = np.flatnonzero(bucket_of == b)
+            pos = np.searchsorted(idx[:, 0], pairs[rows, 0])
+            # scan the (short) run of equal first halves for the second
+            for i, p in zip(rows, pos):
+                q = p
+                while q < len(idx) and idx[q, 0] == pairs[i, 0]:
+                    if idx[q, 1] == pairs[i, 1]:
+                        hit[i] = True
+                        break
+                    q += 1
+        return hit
 
 
 def incremental_exact_dedup(
@@ -2457,49 +2496,11 @@ def incremental_exact_dedup(
 
     class Probe:
         def __init__(self):
-            self._cache: dict[int, np.ndarray] = {}
-
-        def _bucket(self, b: int) -> np.ndarray:
-            got = self._cache.get(b)
-            if got is None:
-                files = sorted(glob.glob(os.path.join(index_dir, f"hb={b}", "*.parquet")))
-                if files:
-                    t = pa.concat_tables([pq.read_table(f, columns=["h1", "h2"]) for f in files])
-                    h = np.stack(
-                        [
-                            t.column("h1").to_numpy(zero_copy_only=False).astype(np.uint64),
-                            t.column("h2").to_numpy(zero_copy_only=False).astype(np.uint64),
-                        ],
-                        axis=1,
-                    )
-                    # lexsorted 128-bit ids for searchsorted membership
-                    order = np.lexsort((h[:, 1], h[:, 0]))
-                    got = h[order]
-                else:
-                    got = np.zeros((0, 2), np.uint64)
-                self._cache[b] = got
-            return got
+            self._index = _PairIndex(index_dir, ("h1", "h2"), np.uint64)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             batch = util.strip_schema_metadata(batch)
-            h = _dual_hash(batch, text_col)
-            keep = np.ones(len(h), dtype=bool)
-            for b in np.unique(h[:, 0] % _INDEX_BUCKETS).astype(int):
-                idx = self._bucket(int(b))
-                rows = np.flatnonzero((h[:, 0] % _INDEX_BUCKETS) == b)
-                if len(idx) == 0 or len(rows) == 0:
-                    continue
-                sub = h[rows]
-                pos = np.searchsorted(idx[:, 0], sub[:, 0])
-                # scan the (short) h1 run for an h2 match
-                for i, p in zip(rows, pos):
-                    q = p
-                    while q < len(idx) and idx[q, 0] == h[i, 0]:
-                        if idx[q, 1] == h[i, 1]:
-                            keep[i] = False
-                            break
-                        q += 1
-            return batch.filter(pa.array(keep))
+            return batch.filter(pa.array(~self._index.contains(_dual_hash(batch, text_col))))
 
     survivors = util.clean_dataset(new_ds).map_batches(
         Probe, batch_format="pyarrow", concurrency=(1, 8)
@@ -2588,10 +2589,8 @@ def build_minhash_index(
     sets, so a probe is a membership test. At the default 16-band/4-row
     parameters a band collision implies Jaccard ~>= 0.5 with high
     probability; batch-mode `minhash_dedup` remains the verified tier.
-    Duplicate index rows are harmless (membership semantics), which
-    makes `update_index` appends idempotent under kill/retry."""
-    os.makedirs(index_dir, exist_ok=True)
-    pre = set(glob.glob(os.path.join(index_dir, "hb=*", "*.parquet")))
+    The layout is a bucket index (state/bucket_index.py), so a rebuild
+    replaces the prior build and `update_index` appends are marker-gated."""
     cells = util.clean_dataset(ds).map_batches(
         functools.partial(
             _band_index_rows, text_col=text_col, key_col=key_col,
@@ -2599,15 +2598,8 @@ def build_minhash_index(
         ),
         batch_format="pyarrow", batch_size=4096,
     )
-    cells.write_parquet(index_dir, partition_cols=["hb"])
-    # indexed DOC count from the footers written THIS call (pre/post set
-    # diff; cells = docs x bands) — ds.count() would re-execute the input
-    # pipeline, and counting every file over-counts a pre-populated dir
-    total_cells = sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in set(glob.glob(os.path.join(index_dir, "hb=*", "*.parquet"))) - pre
-    )
-    return total_cells // bands
+    # cells = docs x bands
+    return bucket_index.build(cells, index_dir, "hb") // bands
 
 
 class _BandProbe:
@@ -2618,32 +2610,9 @@ class _BandProbe:
 
     def __init__(self, index_dir: str, text_col: str, key_col: str,
                  num_perm: int, bands: int, shingle_k: int):
-        self._dir = index_dir
+        self._index = _PairIndex(index_dir, ("band_hash", "band_id"), np.int64)
         self._text_col, self._key_col = text_col, key_col
         self._num_perm, self._bands, self._k = num_perm, bands, shingle_k
-        self._cache: dict[int, np.ndarray] = {}
-
-    def _bucket(self, b: int) -> np.ndarray:
-        got = self._cache.get(b)
-        if got is None:
-            files = sorted(glob.glob(os.path.join(self._dir, f"hb={b}", "*.parquet")))
-            if files:
-                t = pa.concat_tables(
-                    [pq.read_table(f, columns=["band_hash", "band_id"]) for f in files]
-                )
-                h = np.stack(
-                    [
-                        t.column("band_hash").to_numpy(zero_copy_only=False).astype(np.int64),
-                        t.column("band_id").to_numpy(zero_copy_only=False).astype(np.int64),
-                    ],
-                    axis=1,
-                )
-                order = np.lexsort((h[:, 1], h[:, 0]))
-                got = h[order]
-            else:
-                got = np.zeros((0, 2), np.int64)
-            self._cache[b] = got
-        return got
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         batch = util.strip_schema_metadata(batch)
@@ -2651,25 +2620,13 @@ class _BandProbe:
             batch, self._text_col, self._key_col, self._num_perm,
             self._bands, self._k,
         )
-        bh = t.column("band_hash").to_numpy()
-        bid = t.column("band_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        n_docs = batch.num_rows
-        hit_row = np.zeros(len(bh), dtype=bool)
-        for b in np.unique(bh % _INDEX_BUCKETS).astype(int):
-            idx = self._bucket(int(b))
-            rows = np.flatnonzero((bh % _INDEX_BUCKETS) == b)
-            if len(idx) == 0 or len(rows) == 0:
-                continue
-            pos = np.searchsorted(idx[:, 0], bh[rows])
-            for i, p in zip(rows, pos):
-                q = p
-                while q < len(idx) and idx[q, 0] == bh[i]:
-                    if idx[q, 1] == bid[i]:
-                        hit_row[i] = True
-                        break
-                    q += 1
+        pairs = np.stack(
+            [t.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
+             for c in ("band_hash", "band_id")],
+            axis=1,
+        )
         # band rows are emitted doc-major (`bands` consecutive rows/doc)
-        doc_hit = hit_row.reshape(n_docs, self._bands).any(axis=1)
+        doc_hit = self._index.contains(pairs).reshape(batch.num_rows, self._bands).any(axis=1)
         return batch.filter(pa.array(~doc_hit))
 
 
@@ -2693,9 +2650,9 @@ def incremental_minhash_dedup(
        deliberately not transitive-closure, matching the SQL-replicable
        `incremental_minhash_oracle_sql`);
     3. with `update_index=True`, append the KEPT docs' band cells into
-       the live hive buckets (new uniquely-named files; duplicates are
-       harmless under membership semantics, so a retried append is
-       idempotent in effect).
+       the live hive buckets as one bucket-index append whose id is a
+       digest of the kept (key, text) rows (a completed re-run is a
+       no-op, a killed one's retry replaces its own partial files).
 
     Scale shape: text never shuffles — the probe streams, step 2 moves
     (band, hash, key) rows through one corpus-scaled bucket groupby, and
@@ -2741,13 +2698,17 @@ def incremental_minhash_dedup(
     kept = _filter_drop_keys(fresh, drops, key_col).materialize()
 
     if update_index:
-        kept.map_batches(
-            functools.partial(
-                _band_index_rows, text_col=text_col, key_col=key_col,
-                num_perm=num_perm, bands=bands, shingle_k=shingle_k,
+        bucket_index.append(
+            kept.map_batches(
+                functools.partial(
+                    _band_index_rows, text_col=text_col, key_col=key_col,
+                    num_perm=num_perm, bands=bands, shingle_k=shingle_k,
+                ),
+                batch_format="pyarrow", batch_size=4096,
             ),
-            batch_format="pyarrow", batch_size=4096,
-        ).write_parquet(index_dir, partition_cols=["hb"])
+            index_dir,
+            util.row_digest(kept, [key_col, text_col]),
+        )
     return kept
 
 

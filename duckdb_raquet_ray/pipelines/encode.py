@@ -94,6 +94,32 @@ def _footer_md(path: str, md_cache: dict | None):
     return md
 
 
+def check_schema_drift(
+    shards: list[str], first: int, md_cache: dict | None
+) -> pa.Schema:
+    """The schema-drift gate of every encode: refuse when a shard from
+    `shards[first:]` has columns/types other than shard 0's, and return
+    shard 0's schema. A drifted shard would encode partitions with a
+    DIFFERENT schema into the same dir, and decode would silently union
+    them into a null-filled mixed frame — the corrupted-table failure
+    mode an append-heavy corpus hits first. Footers come from the job's
+    `md_cache` (planning reads them anyway); field metadata (pandas
+    etc.) is ignored."""
+    schema = _footer_md(shards[0], md_cache).schema.to_arrow_schema()
+    ref_fields = [(f.name, f.type) for f in schema]
+    for shard in shards[first:]:
+        s = _footer_md(shard, md_cache).schema.to_arrow_schema()
+        if [(f.name, f.type) for f in s] != ref_fields:
+            raise ValueError(
+                f"schema drift: {shard} has schema "
+                f"{[(f.name, str(f.type)) for f in s]} but this encode's "
+                f"schema is {[(n, str(t)) for n, t in ref_fields]} — encode "
+                "drifted shards to their own directory (or align the schema "
+                "first); mixing them in would corrupt decode"
+            )
+    return schema
+
+
 def auto_target_part_bytes(
     input_paths: list[str],
     cluster_cpus: int | None = None,
@@ -325,14 +351,8 @@ def _encode_ordered(
     shards — append_job passes the count of already-FINALIZED shards so an
     append costs O(new shards), not O(corpus); their partitions are all in
     the done set anyway."""
-    # sweep stale publish temps from a killed prior run (publish is
-    # tmp-<pid> -> rename; a SIGKILL mid-write leaves the tmp behind and
-    # resume re-encodes that partition under a fresh pid anyway)
-    for stale in glob.glob(os.path.join(out_dir, "*.tmp-*")):
-        try:
-            os.remove(stale)
-        except OSError:
-            pass
+    # resume re-encodes a partition whose publish a kill interrupted
+    fsio.sweep_tmp(out_dir)
     items = plan_partitions(
         shard_order[plan_from:],
         target_part_bytes,
@@ -340,28 +360,8 @@ def _encode_ordered(
         first_shard_index=plan_from,
         md_cache=md_cache,
     )
-    md0 = _footer_md(shard_order[0], md_cache)
-    schema_arrow = md0.schema.to_arrow_schema()
+    schema_arrow = check_schema_drift(shard_order, plan_from, md_cache)
     schema_str = str(schema_arrow)
-    # schema-drift gate: a shard whose columns/types differ from shard 0
-    # would encode partitions with a DIFFERENT schema into the same dir,
-    # and decode would silently union them into a null-filled mixed
-    # frame — the corrupted-table failure mode an append-heavy corpus
-    # hits first. Footers are already read for planning (md_cache), so
-    # the check is free; field metadata (pandas etc.) is ignored.
-    ref_fields = [
-        (f.name, f.type) for f in schema_arrow
-    ]
-    for shard in shard_order[plan_from:]:
-        s = _footer_md(shard, md_cache).schema.to_arrow_schema()
-        if [(f.name, f.type) for f in s] != ref_fields:
-            raise ValueError(
-                f"schema drift: {shard} has schema "
-                f"{[(f.name, str(f.type)) for f in s]} but this encode dir's "
-                f"schema is {[(n, str(t)) for n, t in ref_fields]} — encode "
-                "drifted shards to their own directory (or align the schema "
-                "first); appending them here would corrupt decode"
-            )
     done = mf.resume_skip_ids(out_dir) if resume else set()
     todo = [it for it in items if it["partition_id"] not in done]
 
@@ -639,11 +639,7 @@ def compact_job(
     if cur:
         groups.append(cur)
 
-    for stale in glob.glob(os.path.join(out_dir, "*.tmp-*")):
-        try:
-            os.remove(stale)
-        except OSError:
-            pass
+    fsio.sweep_tmp(out_dir)
     done_out = mf.resume_skip_ids(out_dir)
     todo = [
         {
@@ -725,10 +721,18 @@ class PartitionDeleter:
             kept = table.filter(keep)
             if kept.num_rows == table.num_rows:
                 continue  # planner false positive: nothing to rewrite
-            dropped = table.num_rows - kept.num_rows
             rr = item.get("row_range")
             shard = item.get("input_shard") or f"delete:{self.out_dir}"
-            prior_del = int(item.get("prior_deleted") or 0)
+            # derived from the partition's pre-delete row count, never
+            # from a running count: self-healing across the journal-ahead
+            # crash window (a stale prior entry's deleted_rows would
+            # double-count the re-dropped rows). An item without
+            # `orig_rows` counts the live file's rows plus `prior_deleted`,
+            # exact whenever the file matches its latest entry.
+            orig_rows = item.get("orig_rows")
+            if orig_rows is None:
+                orig_rows = table.num_rows + int(item.get("prior_deleted") or 0)
+            deleted_rows = int(orig_rows) - kept.num_rows
             if kept.num_rows == 0:
                 # full drop: the DRIVER removes the file after journaling
                 entry = {
@@ -739,12 +743,7 @@ class PartitionDeleter:
                     "codecs": {},
                     "input_bytes": 0,
                     "encoded_bytes": 0,
-                    # every original row is now gone: span when known,
-                    # else the running count
-                    "deleted_rows": (
-                        int(rr[1] - rr[0]) if rr is not None
-                        else int(dropped) + prior_del
-                    ),
+                    "deleted_rows": deleted_rows,
                 }
                 if rr is not None:
                     entry["row_range"] = list(rr)
@@ -756,14 +755,7 @@ class PartitionDeleter:
                     input_shard=shard,
                     row_range=tuple(rr) if rr is not None else None,
                 )
-                # span-derived when the range is known: self-healing across
-                # the journal-ahead crash window (a stale prior entry's
-                # deleted_rows would double-count the re-dropped rows)
-                entry["deleted_rows"] = (
-                    int(rr[1] - rr[0]) - kept.num_rows
-                    if rr is not None
-                    else int(dropped) + prior_del
-                )
+                entry["deleted_rows"] = deleted_rows
                 entry["rewritten_by"] = "delete"
                 staged = path + f".tmp-delete-{_uuid.uuid4().hex[:8]}"
                 pq.write_table(
@@ -807,8 +799,9 @@ def delete_job(
       and redoes the partition;
     - kill between a journal append and the file swap: the journal is
       AHEAD of the file; the re-run's probe still finds the keys in the
-      live file (rewrite case — deleted_rows is span-derived, so the
-      re-drop cannot double-count) or the start-of-run sweep removes
+      live file (rewrite case — deleted_rows derives from the
+      partition's pre-delete row count, so the re-drop cannot
+      double-count) or the start-of-run sweep removes
       the file of a 'deleted'-journaled partition, converging both;
     - kill before finalize: the re-run re-finalizes from the journal
       and clears the marker.
@@ -866,11 +859,7 @@ def delete_job(
     # heal a killed prior delete: sweep staged tmps, and remove the live
     # file of any partition whose LATEST journal entry says 'deleted'
     # (the journal-ahead-of-files window)
-    for stale in glob.glob(os.path.join(out_dir, "*.tmp-*")):
-        try:
-            os.remove(stale)
-        except OSError:
-            pass
+    fsio.sweep_tmp(out_dir)
     all_entries = mf.load_entries(out_dir)
     for pid, e in all_entries.items():
         if e.get("status") == "deleted":
@@ -919,13 +908,17 @@ def delete_job(
     writer = mf.ManifestWriter(out_dir)
     try:
         if affected:
+            # n_rows + deleted_rows is invariant across a partition's
+            # delete rewrites (validate_entries checks it against the
+            # span): the row count the partition was first written with
             work = [
                 {
                     "pid": p,
                     "key_column": key_col,
-                    "row_range": all_entries.get(p, {}).get("row_range"),
-                    "input_shard": all_entries.get(p, {}).get("input_shard"),
-                    "prior_deleted": all_entries.get(p, {}).get("deleted_rows", 0),
+                    "row_range": all_entries[p].get("row_range"),
+                    "input_shard": all_entries[p].get("input_shard"),
+                    "orig_rows": int(all_entries[p]["n_rows"])
+                    + int(all_entries[p].get("deleted_rows") or 0),
                 }
                 for p in affected
             ]

@@ -48,6 +48,7 @@ import ray.data as rd
 from .. import util
 from ..functions import detmix
 from ..functions import partition_keys as pk
+from . import encode
 from ..stages import encoder as enc
 from ..state import fsio
 from ..state import manifest as mf
@@ -188,20 +189,9 @@ def encode_job_grouped(
     if target_group_rows is None:
         target_group_rows = DEFAULT_GROUP_ROWS
     ds = rd.read_parquet(sorted(input_paths))
-    schema_arrow = pq.ParquetFile(sorted(input_paths)[0]).schema_arrow
+    # mixed shard schemas would concat into null-filled grouped partitions
+    schema_arrow = encode.check_schema_drift(sorted(input_paths), 1, {})
     schema_str = str(schema_arrow)
-    # schema-drift gate (the lineage-mode _encode_ordered rule): mixed
-    # shard schemas would concat into null-filled grouped partitions
-    ref_fields = [(f.name, f.type) for f in schema_arrow]
-    for p in sorted(input_paths)[1:]:
-        s = pq.ParquetFile(p).schema_arrow
-        if [(f.name, f.type) for f in s] != ref_fields:
-            raise ValueError(
-                f"schema drift: {p} has schema "
-                f"{[(f.name, str(f.type)) for f in s]} but the first shard's "
-                f"is {[(n, str(t)) for n, t in ref_fields]} — align shard "
-                "schemas before a grouped encode"
-            )
     if salt_map is None:
         # count from a source-column-only read: the driver-side salt map
         # needs one tiny column, not a shuffle of the whole table

@@ -43,6 +43,7 @@ from ..codecs import (
     videocodec,
     webpcodec,
 )
+from ..state import fsio
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -523,18 +524,12 @@ def synthesize_webp_media_table(rows: int, seed: int = 46, max_side: int = 32) -
 
 
 def _persist_once(path: str, build) -> str:
-    """Write-once fixture publish (tmp -> rename): both the Ray pipeline
+    """Write-once fixture publish (state/fsio.py): both the Ray pipeline
     and the SQL oracle read the SAME rows from disk. One helper for all
     nine persisted media tables — a concurrency/naming fix must not need
     nine synchronized edits."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    if not os.path.exists(path):
-        tmp = f"{path}.tmp-{os.getpid()}"
-        pq.write_table(build(), tmp)
-        os.replace(tmp, path)
+    if not fsio.exists(path):
+        fsio.publish_table(build(), path)
     return path
 
 

@@ -45,6 +45,7 @@ from duckdb_raquet_ray.pipelines import encode as _encode
 from duckdb_raquet_ray.pipelines import packing as _packing
 from duckdb_raquet_ray.pipelines import quality as _quality
 from duckdb_raquet_ray.pipelines import text as _text
+from duckdb_raquet_ray.state import fsio
 
 __all__ = ["run_prepare"]
 
@@ -81,7 +82,7 @@ def _read_marker(d: str):
 
 def _run_stage(stage_dir: str, config: dict, build, *, force: bool) -> tuple[int, bool]:
     """-> (rows, skipped). `build(stage_dir)` writes the stage output and
-    returns its row count; the marker publishes LAST (tmp -> rename), so
+    returns its row count; the marker publishes LAST (state/fsio.py), so
     a kill at any point leaves either no marker (partial, rebuilt) or a
     complete stage."""
     rec = _read_marker(stage_dir)
@@ -104,10 +105,9 @@ def _run_stage(stage_dir: str, config: dict, build, *, force: bool) -> tuple[int
         raise ValueError(
             f"{stage_dir}: stage produced 0 rows — check its filter config"
         )
-    tmp = _done_path(stage_dir) + f".tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump({"config": config, "rows": rows}, f)
-    os.replace(tmp, _done_path(stage_dir))
+    fsio.publish_bytes(
+        json.dumps({"config": config, "rows": rows}).encode(), _done_path(stage_dir)
+    )
     return rows, False
 
 

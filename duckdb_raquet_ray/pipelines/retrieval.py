@@ -45,7 +45,7 @@ import ray.data as rd
 from duckdb_raquet_ray import util
 from duckdb_raquet_ray.functions import detmix
 from duckdb_raquet_ray.functions import words as _wk
-from duckdb_raquet_ray.state import fsio
+from duckdb_raquet_ray.state import bucket_index
 
 _WS = r"[ \t\n\r\x0b\x0c]+"
 
@@ -255,25 +255,9 @@ def _term_bucket(terms) -> np.ndarray:
     return (h % np.uint64(TEXT_INDEX_BUCKETS)).astype(np.int32)
 
 
-def build_text_index(
-    ds: rd.Dataset,
-    index_dir: str,
-    *,
-    text_col: str = "text",
-    key_col: str = "doc_id",
-) -> dict:
-    """Persist the corpus as a lexical index: postings (term, doc, tf)
-    hive-bucketed by term hash under ``postings/tb=<b>/``, per-doc word
-    lengths under ``doclens/``, and ``meta.json`` (N docs, L total words).
-    One tokenize pass; postings rows are per-(doc, distinct word) — the
-    standard inverted-file bound. Returns the meta dict."""
-    import json as _json
-    import os as _os
-
-    import pyarrow.types as _patypes
-
+def _require_int_keys(ds: rd.Dataset, key_col: str) -> None:
     kt = ds.schema().base_schema.field(key_col).type
-    if not (_patypes.is_integer(kt)):
+    if not pa.types.is_integer(kt):
         # the query paths fold postings through int64 numpy (np.concatenate
         # + astype) and type their empty results int64 — enforce the
         # contract at BUILD time instead of crashing at query time
@@ -281,7 +265,12 @@ def build_text_index(
             f"{key_col} must be an integer column for the persisted index "
             f"(got {kt}); map string keys to ids first"
         )
-    ds = util.clean_dataset(ds).select_columns([key_col, text_col])
+
+
+def _postings(ds: rd.Dataset, text_col: str, key_col: str) -> rd.Dataset:
+    """One tokenize pass -> postings rows (term, doc, tf, dl, tb): one
+    row per (doc, distinct word), carrying the doc's word count so a
+    query scores from its terms' postings alone."""
 
     def explode(batch: pa.Table) -> pa.Table:
         lens, flat = _wk.split_ws(batch.column(text_col), lower=True)
@@ -292,6 +281,7 @@ def build_text_index(
                     "term": pa.array([], pa.string()),
                     "doc": keys.slice(0, 0),
                     "tf": pa.array([], pa.int64()),
+                    "dl": pa.array([], pa.int64()),
                     "tb": pa.array([], pa.int32()),
                 }
             )
@@ -313,33 +303,61 @@ def build_text_index(
                 "term": terms,
                 "doc": keys.take(pa.array(d_idx)),
                 "tf": pa.array(tf.astype(np.int64)),
+                "dl": pa.array(np.asarray(lens, np.int64)[d_idx]),
                 "tb": pa.array(_term_bucket(terms)),
             }
         )
 
-    _os.makedirs(index_dir, exist_ok=True)
-    ds.map_batches(explode, batch_format="pyarrow").write_parquet(
-        _os.path.join(index_dir, "postings"), partition_cols=["tb"]
-    )
+    return ds.map_batches(explode, batch_format="pyarrow")
 
-    def dl(batch: pa.Table) -> pa.Table:
+
+def _corpus_counts(ds: rd.Dataset, text_col: str) -> dict:
+    """{n_docs, total_words} of `ds` — BM25's N and L (docs without
+    words count toward N but write no postings)."""
+
+    def counts(batch: pa.Table) -> pa.Table:
         lens, _ = _wk.split_ws(batch.column(text_col), lower=True)
-        return pa.table(
-            {"doc": batch.column(key_col), "dl": pa.array(lens)}
-        )
+        return pa.table({"n": [len(lens)], "words": [int(lens.sum())]})
 
-    dls = ds.map_batches(dl, batch_format="pyarrow").materialize()
-    dls.write_parquet(_os.path.join(index_dir, "doclens"))
+    sums = ds.map_batches(counts, batch_format="pyarrow").sum(["n", "words"])
+    return {
+        "n_docs": int((sums or {}).get("sum(n)") or 0),
+        "total_words": int((sums or {}).get("sum(words)") or 0),
+    }
+
+
+def _text_index_meta(index_dir: str) -> dict:
+    """The build meta with N and L folded over every completed append —
+    so they count each append exactly once, whatever was killed and
+    retried on the way."""
+    meta = bucket_index.meta(index_dir)
+    for rec in meta.pop("appends").values():
+        meta["n_docs"] += rec["n_docs"]
+        meta["total_words"] += rec["total_words"]
+    return meta
+
+
+def build_text_index(
+    ds: rd.Dataset,
+    index_dir: str,
+    *,
+    text_col: str = "text",
+    key_col: str = "doc_id",
+) -> dict:
+    """Persist the corpus as a lexical index: a bucket index
+    (state/bucket_index.py) of postings (term, doc, tf, dl) hive-bucketed
+    by term hash under ``tb=<b>/``, with N docs and L total words in its
+    marker. Postings rows are per-(doc, distinct word) — the standard
+    inverted-file bound. Returns the meta dict."""
+    _require_int_keys(ds, key_col)
+    ds = util.clean_dataset(ds).select_columns([key_col, text_col])
     meta = {
-        "n_docs": int(dls.count()),
-        "total_words": int(dls.sum("dl") or 0),
+        **_corpus_counts(ds, text_col),
         "n_buckets": TEXT_INDEX_BUCKETS,
         "text_col": text_col,
         "key_col": key_col,
     }
-    fsio.publish_bytes(
-        _json.dumps(meta).encode(), _os.path.join(index_dir, "meta.json")
-    )
+    bucket_index.build(_postings(ds, text_col, key_col), index_dir, "tb", meta)
     return meta
 
 
@@ -352,23 +370,16 @@ def bm25_topk_indexed(
     """BM25 top-k off the persisted index — byte-identical results to
     :func:`bm25_topk` on the indexed corpus (same rational-idf spec, df/L/N
     from the index), but the query opens ONLY the postings buckets its
-    terms hash into (O(matching docs) bytes), then one streaming scoring
-    pass over the skinny doclens table with the postings broadcast.
+    terms hash into (O(matching docs) bytes) and scores from those
+    postings alone (each row carries its doc's length).
 
-    Driver/broadcast bound: the query terms' postings (docs containing a
-    query term) — the standard inverted-file working set."""
-    import glob as _glob
-    import json as _json
-    import os as _os
-
-    import pyarrow.parquet as _pq
-
+    Driver bound: the query terms' postings (docs containing a query
+    term) — the standard inverted-file working set."""
     if not terms:
         raise ValueError("terms must be non-empty")
-    meta = _json.load(open(_os.path.join(index_dir, "meta.json")))
+    meta = _text_index_meta(index_dir)
     key_col = meta["key_col"]
     tset = [_lower(t) for t in terms]
-    m = len(tset)
     nd = float(meta["n_docs"])
     ll = float(meta["total_words"])
 
@@ -383,65 +394,44 @@ def bm25_topk_indexed(
         return empty
 
     # open only the probed buckets, keep only exact term matches
-    post: list[pa.Table] = []
-    for b in sorted(set(int(x) for x in _term_bucket(np.array(tset, object)))):
-        for f in sorted(
-            _glob.glob(_os.path.join(index_dir, "postings", f"tb={b}", "*.parquet"))
-        ):
-            t = _pq.read_table(f, columns=["term", "doc", "tf"])
-            mask = pc.is_in(t.column("term"), value_set=pa.array(tset, pa.string()))
-            t = t.filter(mask)
-            if t.num_rows:
-                post.append(t)
-    if not post:
+    value_set = pa.array(tset, pa.string())
+    buckets = sorted(set(int(x) for x in _term_bucket(np.array(tset, object))))
+    post = [
+        t.filter(pc.is_in(t.column("term"), value_set=value_set))
+        for t in (
+            pq.read_table(f, columns=["term", "doc", "tf", "dl"])
+            for f in bucket_index.bucket_files(index_dir, buckets)
+        )
+    ]
+    pt = pa.concat_tables(post).combine_chunks() if post else None
+    if pt is None or pt.num_rows == 0:
         return empty
-    pt = pa.concat_tables(post).combine_chunks()
-    term_idx = pc.index_in(
-        pt.column("term"), value_set=pa.array(tset, pa.string())
-    ).to_numpy(zero_copy_only=False)
-    docs_np = pt.column("doc").to_numpy(zero_copy_only=False)
-    tf_np = pt.column("tf").to_numpy(zero_copy_only=False).astype(np.float64)
-    dfs = np.zeros(m, np.float64)
-    per_term: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in range(m):
-        sel = term_idx == i
-        dk, tv = docs_np[sel], tf_np[sel]
-        o = np.argsort(dk, kind="stable")
-        per_term.append((dk[o], tv[o]))
-        dfs[i] = float(sel.sum())
-    ridf = (2.0 * nd - 2.0 * dfs + 1.0) / (2.0 * dfs + 1.0)
-
-    def score(batch: pa.Table) -> pa.Table:
-        dl = batch.column("dl").to_numpy(zero_copy_only=False).astype(np.float64)
-        kn = batch.column("doc").to_numpy(zero_copy_only=False)
-        total = np.zeros(len(dl), np.int64)
-        for i in range(m):
-            dk, tv = per_term[i]
-            if not len(dk):
-                continue
-            pos = np.searchsorted(dk, kn)
-            hit = (pos < len(dk)) & (dk[np.minimum(pos, len(dk) - 1)] == kn)
-            tf = np.zeros(len(kn), np.float64)
-            tf[hit] = tv[pos[hit]]
-            sat = (44.0 * tf * ll) / (20.0 * tf * ll + 6.0 * ll + 18.0 * dl * nd)
-            total += np.floor(ridf[i] * sat * 1000000.0).astype(np.int64)
-        keep = total > 0
-        kk, sc = kn[keep], total[keep]
-        take = min(top, len(sc))
-        idx = np.lexsort((kk, -sc))[:take] if take else np.array([], dtype=int)
-        return pa.table({key_col: pa.array(kk[idx]), "score_micro": pa.array(sc[idx])})
-
-    dls = rd.read_parquet(_os.path.join(index_dir, "doclens"))
-    cands = pa.Table.from_pylist(
-        dls.map_batches(score, batch_format="pyarrow", batch_size=65536).take_all()
+    # index_in resolves a repeated query term to its FIRST slot, so a
+    # duplicate term scores once (as in bm25_topk)
+    term_idx = pc.index_in(pt.column("term"), value_set=value_set).to_numpy(
+        zero_copy_only=False
     )
-    if cands.num_rows == 0:
+    docs, inv = np.unique(pt.column("doc").to_numpy(zero_copy_only=False), return_inverse=True)
+    tf = pt.column("tf").to_numpy(zero_copy_only=False).astype(np.float64)
+    dl = pt.column("dl").to_numpy(zero_copy_only=False).astype(np.float64)
+    total = np.zeros(len(docs), np.int64)
+    for i in range(len(tset)):
+        sel = term_idx == i
+        df = float(sel.sum())
+        ridf = (2.0 * nd - 2.0 * df + 1.0) / (2.0 * df + 1.0)
+        sat = (44.0 * tf[sel] * ll) / (20.0 * tf[sel] * ll + 6.0 * ll + 18.0 * dl[sel] * nd)
+        np.add.at(total, inv[sel], np.floor(ridf * sat * 1000000.0).astype(np.int64))
+    keep = total > 0
+    kk, sc = docs[keep], total[keep]
+    idx = np.lexsort((kk, -sc))[:top]
+    if not len(idx):
         return empty
-    t = cands.sort_by(
-        [("score_micro", "descending"), (key_col, "ascending")]
-    ).slice(0, top)
-    return t.append_column(
-        "rank", pa.array(np.arange(1, t.num_rows + 1), type=pa.int64())
+    return pa.table(
+        {
+            key_col: pa.array(kk[idx]),
+            "score_micro": pa.array(sc[idx]),
+            "rank": pa.array(np.arange(1, len(idx) + 1), type=pa.int64()),
+        }
     )
 
 
@@ -453,19 +443,17 @@ def append_text_index(
     key_col: str | None = None,
 ) -> dict:
     """Grow a persisted text index with NEW documents — the incremental
-    ingestion story (dedup.build_content_index's append discipline applied
-    to retrieval): new postings files land INSIDE the existing hive
-    buckets (hive partitioning makes the merge a directory append — the
-    probe globs every file per bucket, old and new alike), doclens gains
-    new shards, and meta.json re-publishes with the summed N / L. Existing
-    files are never rewritten or re-read; cost is O(new docs).
+    ingestion story: new postings files land INSIDE the existing hive
+    buckets as one bucket-index append, whose marker carries the new
+    docs' N / L. Existing files are never rewritten or re-read; cost is
+    O(new docs). The append id is a digest of the new docs' (key, text)
+    rows, so re-running a completed append is a no-op and retrying a
+    killed one converges to the uninterrupted result. Returns the folded
+    meta.
 
     The caller owns key uniqueness across appends (duplicate keys would
     double-count postings — the same contract as encode.append_job)."""
-    import json as _json
-    import os as _os
-
-    meta = _json.load(open(_os.path.join(index_dir, "meta.json")))
+    meta = bucket_index.meta(index_dir)
     if meta["n_buckets"] != TEXT_INDEX_BUCKETS:
         raise ValueError(
             f"index was built with {meta['n_buckets']} buckets, "
@@ -473,36 +461,14 @@ def append_text_index(
         )
     text_col = text_col or meta["text_col"]
     key_col = key_col or meta["key_col"]
-    # one-off sub-index of the new docs in a scratch dir, then MOVE its
-    # postings/doclens files into the live buckets (tmp->rename publish)
-    import uuid
-
-    scratch = _os.path.join(index_dir, f"_append_{uuid.uuid4().hex[:12]}")
-    sub = build_text_index(ds_new, scratch, text_col=text_col, key_col=key_col)
-    for sd in sorted(_os.listdir(_os.path.join(scratch, "postings"))):
-        src_d = _os.path.join(scratch, "postings", sd)
-        dst_d = _os.path.join(index_dir, "postings", sd)
-        _os.makedirs(dst_d, exist_ok=True)
-        for f in sorted(_os.listdir(src_d)):
-            _os.replace(
-                _os.path.join(src_d, f),
-                _os.path.join(dst_d, f"app-{uuid.uuid4().hex[:8]}-{f}"),
-            )
-    dl_dst = _os.path.join(index_dir, "doclens")
-    for f in sorted(_os.listdir(_os.path.join(scratch, "doclens"))):
-        _os.replace(
-            _os.path.join(scratch, "doclens", f),
-            _os.path.join(dl_dst, f"app-{uuid.uuid4().hex[:8]}-{f}"),
+    ds = util.clean_dataset(ds_new).select_columns([key_col, text_col])
+    append_id = util.row_digest(ds, [key_col, text_col])
+    if append_id not in meta["appends"]:
+        bucket_index.append(
+            _postings(ds, text_col, key_col), index_dir, append_id,
+            _corpus_counts(ds, text_col),
         )
-    import shutil
-
-    shutil.rmtree(scratch, ignore_errors=True)
-    meta["n_docs"] = int(meta["n_docs"]) + int(sub["n_docs"])
-    meta["total_words"] = int(meta["total_words"]) + int(sub["total_words"])
-    fsio.publish_bytes(
-        _json.dumps(meta).encode(), _os.path.join(index_dir, "meta.json")
-    )
-    return meta
+    return _text_index_meta(index_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -684,24 +650,13 @@ def build_positional_index(
     text_col: str = "text",
     key_col: str = "doc_id",
 ) -> int:
-    """Persist positional postings (term, doc, pos) hive-bucketed by term
-    hash under ``positions/tb=<b>/`` — the phrase-search sibling of
+    """Persist positional postings (term, doc, pos) as a bucket index
+    hive-bucketed by term hash under ``tb=<b>/`` — the phrase-search sibling of
     build_text_index's tf postings (positions cost one row per word
     OCCURRENCE, not per distinct word: the standard positional-index
-    bound). A phrase query opens only its terms' buckets."""
-    import os as _os
-
-    import pyarrow.types as _patypes
-
-    kt = ds.schema().base_schema.field(key_col).type
-    if not (_patypes.is_integer(kt)):
-        # the query paths fold postings through int64 numpy (np.concatenate
-        # + astype) and type their empty results int64 — enforce the
-        # contract at BUILD time instead of crashing at query time
-        raise ValueError(
-            f"{key_col} must be an integer column for the persisted index "
-            f"(got {kt}); map string keys to ids first"
-        )
+    bound). A phrase query opens only its terms' buckets. Returns the
+    indexed position-row count."""
+    _require_int_keys(ds, key_col)
     ds = util.clean_dataset(ds).select_columns([key_col, text_col])
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -730,19 +685,8 @@ def build_positional_index(
             }
         )
 
-    _os.makedirs(index_dir, exist_ok=True)
-    ds.map_batches(explode, batch_format="pyarrow").write_parquet(
-        _os.path.join(index_dir, "positions"), partition_cols=["tb"]
-    )
-    # indexed POSITION-row count from the written footers — a ds.count()
-    # here would re-execute the whole input pipeline a second time
-    import glob as _glob
-
-    return sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in _glob.glob(
-            _os.path.join(index_dir, "positions", "tb=*", "*.parquet")
-        )
+    return bucket_index.build(
+        ds.map_batches(explode, batch_format="pyarrow"), index_dir, "tb"
     )
 
 
@@ -761,20 +705,14 @@ def phrase_search_indexed(
     Driver bound (stated): the phrase terms' postings live on the
     driver — O(occurrences of the rarest-first intersection), the same
     bound as bm25_topk_indexed's query-term postings."""
-    import glob as _glob
-    import os as _os
-
     if not phrase:
         raise ValueError("empty phrase")
     pw = [_lower(w) for w in phrase]
 
     def term_postings(term: str) -> tuple[np.ndarray, np.ndarray]:
         b = int(_term_bucket(np.asarray([term], dtype=object))[0])
-        files = sorted(
-            _glob.glob(_os.path.join(index_dir, "positions", f"tb={b}", "*.parquet"))
-        )
         docs, poss = [], []
-        for f in files:
+        for f in bucket_index.bucket_files(index_dir, [b]):
             t = pq.read_table(f, columns=["term", "doc", "pos"])
             mask = pc.equal(t.column("term"), term)
             sub = t.filter(mask)

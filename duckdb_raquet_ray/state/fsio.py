@@ -30,12 +30,16 @@ end-to-end (tests/test_fsio.py).
 
 from __future__ import annotations
 
+import glob
 import os
 import uuid
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 from pyarrow import fs as pafs
+
+
+_TMP = ".tmp-"  # local publish temps are `<path>.tmp-<pid>-<uuid>`
 
 
 def resolve(path: str) -> tuple[pafs.FileSystem, str]:
@@ -52,15 +56,19 @@ def _is_local(filesystem: pafs.FileSystem) -> bool:
     return isinstance(fsys, pafs.LocalFileSystem)
 
 
+def _local_tmp(path: str) -> str:
+    # pid alone collides across NODES (containerized workers commonly
+    # share pid numbers on a shared filesystem) — a uuid component keeps
+    # two retried writers of the same partition from interleaving one
+    # tmp file and renaming corrupt bytes into place
+    return path + f"{_TMP}{os.getpid()}-{uuid.uuid4().hex[:8]}"
+
+
 def publish_bytes(data: bytes, path: str, filesystem: pafs.FileSystem | None = None) -> None:
     """Write `data` so the object at `path` is absent-or-complete."""
     fsys, p = (filesystem, path) if filesystem is not None else resolve(path)
     if _is_local(fsys):
-        # pid alone collides across NODES (containerized workers commonly
-        # share pid numbers on a shared filesystem) — a uuid component keeps
-        # two retried writers of the same partition from interleaving one
-        # tmp file and renaming corrupt bytes into place
-        tmp = p + f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        tmp = _local_tmp(p)
         with open(tmp, "wb") as f:
             f.write(data)
         os.replace(tmp, p)
@@ -78,16 +86,23 @@ def publish_table(
     """Write a Parquet file so the object at `path` is absent-or-complete."""
     fsys, p = (filesystem, path) if filesystem is not None else resolve(path)
     if _is_local(fsys):
-        # pid alone collides across NODES (containerized workers commonly
-        # share pid numbers on a shared filesystem) — a uuid component keeps
-        # two retried writers of the same partition from interleaving one
-        # tmp file and renaming corrupt bytes into place
-        tmp = p + f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        tmp = _local_tmp(p)
         pq.write_table(table, tmp, **write_kwargs)
         os.replace(tmp, p)
         return
     with fsys.open_output_stream(p) as f:
         pq.write_table(table, f, **write_kwargs)
+
+
+def sweep_tmp(directory: str) -> None:
+    """Remove the publish temps a killed writer left in `directory` (a
+    SIGKILL between the tmp write and its rename leaves the tmp behind;
+    the re-run publishes under a fresh tmp name anyway)."""
+    for stale in glob.glob(os.path.join(glob.escape(directory), f"*{_TMP}*")):
+        try:
+            os.remove(stale)
+        except OSError:
+            pass
 
 
 def exists(path: str, filesystem: pafs.FileSystem | None = None) -> bool:

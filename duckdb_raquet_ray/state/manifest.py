@@ -29,6 +29,7 @@ import os
 import time
 
 from ..functions import partition_keys as pk
+from . import fsio
 
 MANIFEST_JSONL = "manifest.jsonl"
 MANIFEST_JSON = "manifest.json"
@@ -113,10 +114,10 @@ class ManifestWriter:
             meta["rollups"] = rollups
         if extra:
             meta.update(extra)
-        tmp = os.path.join(self.out_dir, MANIFEST_JSON + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=1, sort_keys=True)
-        os.replace(tmp, os.path.join(self.out_dir, MANIFEST_JSON))
+        fsio.publish_bytes(
+            json.dumps(meta, indent=1, sort_keys=True).encode("utf-8"),
+            os.path.join(self.out_dir, MANIFEST_JSON),
+        )
         return meta
 
 
@@ -144,7 +145,7 @@ def load_job_config(out_dir: str) -> dict | None:
 
 
 def persist_job_config(out_dir: str, config: dict) -> None:
-    """Write job.json (tmp -> rename) — the resolved plan parameters.
+    """Publish job.json (state/fsio.py) — the resolved plan parameters.
 
     Partition ids are pure functions of these parameters, so a resumed run
     MUST re-plan with the same values: e.g. `auto_target_part_bytes` depends
@@ -155,10 +156,9 @@ def persist_job_config(out_dir: str, config: dict) -> None:
     resume removes the hazard; validate_entries' coverage check catches a
     mixed-plan manifest after the fact."""
     os.makedirs(out_dir, exist_ok=True)
-    tmp = os.path.join(out_dir, JOB_JSON + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(config, fh, sort_keys=True)
-    os.replace(tmp, os.path.join(out_dir, JOB_JSON))
+    fsio.publish_bytes(
+        json.dumps(config, sort_keys=True).encode("utf-8"), os.path.join(out_dir, JOB_JSON)
+    )
 
 
 def resolve_job_config(

@@ -176,3 +176,25 @@ def default_concurrency(cap: int | None = None) -> int:
     if cap is None:
         return n
     return max(1, min(n, cap))
+
+
+def row_digest(ds, cols: list[str]) -> str:
+    """Order-free digest of the multiset of a dataset's `cols` rows — the
+    append id of an index append derived from the appended rows
+    themselves, so a retried append recognizes its own earlier
+    (complete or killed) attempt, and only an append of the very same
+    rows is taken for one. One streaming pass; the driver folds one row
+    per block."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+
+    def partial(batch: pa.Table) -> pa.Table:
+        df = batch.select(cols).to_pandas()
+        h = pd.util.hash_pandas_object(df, index=False).to_numpy().sum(dtype=np.uint64)
+        return pa.table({"n": [len(df)], "h": pa.array([h], pa.uint64())})
+
+    parts = ds.select_columns(cols).map_batches(partial, batch_format="pyarrow").take_all()
+    n = sum(r["n"] for r in parts)
+    h = sum(r["h"] for r in parts) % (1 << 64)
+    return f"{n:x}-{h:016x}"

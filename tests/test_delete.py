@@ -177,3 +177,40 @@ class TestDelete:
         encode.delete_job(d, keys)
         res2 = mf.validate_entries(list(mf.load_entries(d).values()))
         assert res2["errors"] == []
+
+    def test_journal_ahead_rewrite_on_compacted_dir_counts_once(
+        self, enc_dir, tmp_path
+    ):
+        # compacted partitions carry no row_range, so deleted_rows cannot
+        # be checked against a span: forge the journal-ahead REWRITE
+        # window (entry journaled with the reduced counts, live file never
+        # swapped) and require the same-keys re-run to count each erased
+        # row once
+        import json as _json
+
+        d, _ = enc_dir
+        comp = str(tmp_path / "comp")
+        encode.compact_job(d, comp, target_part_bytes=2 << 20)
+        before = mf.load_entries(comp)
+        victim = sorted(mf.done_partition_ids(comp))[0]
+        assert before[victim].get("row_range") is None
+        total = mf.load_metadata(comp)["num_rows"]
+        from duckdb_raquet_ray.functions import partition_keys as pk
+        from duckdb_raquet_ray.stages import encoder as enc
+
+        part = enc.decode_rows(
+            pq.read_table(os.path.join(comp, pk.part_file_name(victim)))
+        )
+        gone = part.column("doc_id").to_pylist()[:25]
+        n0 = before[victim]["n_rows"]
+        forged = dict(before[victim], n_rows=n0 - len(gone), deleted_rows=len(gone))
+        with open(os.path.join(comp, "manifest.jsonl"), "a") as f:
+            f.write(_json.dumps(forged) + "\n")
+        meta = encode.delete_job(comp, gone)
+        after = mf.load_entries(comp)[victim]
+        assert after["n_rows"] == n0 - len(gone)
+        assert after["deleted_rows"] == len(gone)
+        assert meta["num_rows"] == total - len(gone)
+        back = decode.read_encoded(comp).to_pandas()
+        assert len(back) == meta["num_rows"]
+        assert not back["doc_id"].isin(gone).any()

@@ -28,6 +28,14 @@ class TestLocal:
         fsio.publish_bytes(b'{"x": 1}', dest)
         assert open(dest, "rb").read() == b'{"x": 1}'
 
+    def test_sweep_tmp_removes_only_publish_temps(self, tmp_path):
+        # a kill between a publish's tmp write and its rename leaves the tmp
+        fsio.publish_bytes(b"done", str(tmp_path / "kept.json"))
+        (tmp_path / "kept.json.tmp-123-deadbeef").write_bytes(b"half")
+        (tmp_path / "part-1.parquet.tmp-delete-cafe0000").write_bytes(b"staged")
+        fsio.sweep_tmp(str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["kept.json"]
+
 
 class TestObjectStoreBranch:
     def test_subtree_fs_takes_stream_branch(self, tmp_path):

@@ -112,15 +112,24 @@ class TestIncrementalMinhash:
             _brute_incremental(_docs(BASE), _docs(NEW))
         )
 
-    def test_probe_opens_only_touched_buckets(self, tmp_path):
+    def test_probe_opens_only_touched_buckets(self, tmp_path, monkeypatch):
+        from duckdb_raquet_ray.state import bucket_index
+
         idx = str(tmp_path / "idx")
         dedup.build_minhash_index(rd.from_arrow(_docs(BASE)), idx)
         touched = {
             int(h) % dedup._INDEX_BUCKETS for _, _, h in _cells(_docs(NEW))
         }
+        listed = []
+        orig = bucket_index.bucket_files
+        monkeypatch.setattr(
+            bucket_index, "bucket_files",
+            lambda d, buckets: orig(d, listed.extend(buckets) or buckets),
+        )
         probe = dedup._BandProbe(idx, "text", "doc_id", 64, 16, 5)
         probe(_docs(NEW))
-        assert set(probe._cache) <= touched
+        assert set(probe._index._cache) <= touched
+        assert listed and set(listed) <= touched
 
     def test_all_new_docs_near_dups_empty_result(self, tmp_path):
         idx = str(tmp_path / "idx")

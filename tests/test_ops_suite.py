@@ -293,10 +293,13 @@ class TestAnn:
 
         idx_dir = str(tmp_path / "ivf")
         ann.build_ivf_index(emb_ds, idx_dir, n_centroids=8)
-        # hive layout on disk: one directory per non-empty bucket + centroids
+        from duckdb_raquet_ray.state import bucket_index
+
+        # hive layout on disk: one directory per non-empty bucket + the
+        # marker holding the centroids
         buckets = [d for d in os.listdir(idx_dir) if d.startswith("ivf_bucket=")]
         assert len(buckets) >= 2
-        assert os.path.exists(os.path.join(idx_dir, "centroids.json"))
+        assert len(bucket_index.meta(idx_dir)["centroids"]) == 8
         rows = emb_ds.take_all()
         q = np.asarray(rows[3]["embedding"], dtype=np.float64)
         exact = ann.brute_force_topk(emb_ds, q, k=10).column("vec_id").to_pylist()
@@ -914,9 +917,11 @@ class TestIvfPq:
 
         idx_dir = str(tmp_path / "ivfpq")
         index, cb = ann.build_ivfpq_index(emb_ds, idx_dir, n_centroids=8)
-        # two-level layout on disk
+        from duckdb_raquet_ray.state import bucket_index
+
+        # two-level layout on disk: buckets + the marker holding the codebook
         buckets = [d for d in os.listdir(idx_dir) if d.startswith("ivf_bucket=")]
-        assert buckets and os.path.exists(os.path.join(idx_dir, "pq.json"))
+        assert buckets and bucket_index.meta(idx_dir)["pq"] == cb.to_json()
         q = np.ones(64)
         # full probe == pq_topk over the raw table (same codebook, exact
         # candidate set) — the value-checked configuration

@@ -111,7 +111,7 @@ class TestTextIndex:
                 np.array([s.lower() for s in terms], object)
             )
         }
-        for d in glob.glob(os.path.join(idx, "postings", "tb=*")):
+        for d in glob.glob(os.path.join(idx, "tb=*")):
             b = int(d.rsplit("=", 1)[1])
             if b not in keep:
                 for f in glob.glob(os.path.join(d, "*.parquet")):
@@ -162,7 +162,7 @@ class TestAppendTextIndex:
         )
         before = {
             f: os.path.getmtime(f)
-            for f in glob.glob(os.path.join(idx, "postings", "*", "*.parquet"))
+            for f in glob.glob(os.path.join(idx, "tb=*", "*.parquet"))
         }
         retrieval.append_text_index(rd.from_arrow(t.slice(50)), idx)
         for f, m in before.items():
