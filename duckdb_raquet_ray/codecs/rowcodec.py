@@ -200,7 +200,7 @@ def encode_child(
     rule as :func:`intcodec.for_minmax`); residual arithmetic is modular
     in the plane width so the bit patterns round-trip exactly. All O(n)
     temporaries come from the scratch pool (codecs/scratch.py) — this
-    kernel runs inside long-lived encoder actors and must not re-fault
+    kernel runs on long-lived Ray workers and must not re-fault
     half a GB of pages per partition."""
     lengths = np.diff(offsets).astype(np.int64)
     n = len(plane)
@@ -353,16 +353,16 @@ def decode_child(blob: bytes, desc: dict, lengths: np.ndarray) -> np.ndarray:
     # concatenated-range indices per bucket, fused base-add — was tried
     # and measured SLOWER: the int32 index plane costs more passes than
     # the uint8 code plane + boolean masks it replaces.)
-    wtok = fill_rowwise(codes, offsets, scratch.arr("rc.dwtok", n, np.uint8))
+    wtok = fill_rowwise(codes, offsets, scratch.arr("rc.wtok", n, np.uint8))
     out[:] = 0
-    mask = scratch.arr("rc.dmask", n, bool)
+    mask = scratch.arr("rc.mask", n, bool)
     for i, b in enumerate(bks):
         size = secs[2 + i]
         sub = bucket_values(blob[off : off + size], b)
         off += size
         np.equal(wtok, b["code"], out=mask)
         out[mask] = sub  # setitem upcasts narrow unsigned in place
-    bot = fill_rowwise(bases, offsets, scratch.arr("rc.dbot", n, dt))
+    bot = fill_rowwise(bases, offsets, scratch.arr("rc.bot", n, dt))
     np.add(out, bot, out=out)
     return out
 

@@ -11,12 +11,13 @@ pinning aggregate encode throughput regardless of core count. glibc
 malloc tunables (MALLOC_MMAP_THRESHOLD_/MALLOC_TRIM_THRESHOLD_) measurably
 did NOT fix it (numpy/arrow large blocks bypass the tuned arena).
 
-The fix is to stop allocating: encoder actors live for the whole job, so
-codec kernels draw their big temporaries from this module's per-process
-pool — named, grow-only buffers that fault once per actor and are reused
-for every subsequent partition. This is the same reasoning as the
+The fix is to stop allocating: a Ray worker serves every task of every
+job, so codec kernels draw their big temporaries from this module's
+per-process pool — named, grow-only buffers that fault once per process
+and are reused for every later partition. This is the same reasoning as the
 reference's per-thread lazily-initialized scratch state
 (/root/reference/src/read_raster.cpp:264-286), applied to numpy.
+Each stage `claim`s the pool for its family first.
 
 Contract: a buffer named `tag` is INVALIDATED by the next `buf()`/`arr()`
 call with the same tag — callers must finish with (or copy out of) a
@@ -32,19 +33,16 @@ import os
 
 import numpy as np
 
+from ..util import LocalDict
 
-class _Pool(dict):
-    """Buffer pool that PICKLES AS EMPTY. This module ships to Ray workers
-    by value (cloudpickle), and a plain module-level dict would be
-    serialized WITH its contents: every UDF pickle would drag the driver's
-    scratch buffers along (100s of MB of task payload), and the unpickled
-    arrays arrive backed by read-only pickle buffers — `out[:] = 0` then
-    raises 'assignment destination is read-only' in the worker (observed
-    live via point_lookup populating the driver pool before a later query
-    pickled its UDFs)."""
 
-    def __reduce__(self):
-        return (_Pool, ())
+class _Pool(LocalDict):
+    """The buffer pool, a LocalDict: pickled with contents it would drag
+    the driver's buffers (100s of MB) into every task payload, read-only —
+    `out[:] = 0` then raised in the worker (observed live). The family
+    that last claimed it rides along as `kind`, resetting with the pool."""
+
+    kind: str | None = None
 
 
 _BUFS: dict[str, np.ndarray] = _Pool()
@@ -76,3 +74,22 @@ def arr(tag: str, n: int, dtype) -> np.ndarray:
 def clear() -> None:
     """Release all pooled buffers (tests / memory-pressure hook)."""
     _BUFS.clear()
+
+
+def claim(kind: str) -> None:
+    """Hand this process's pool to a stage family ("encode" / "decode"). A
+    change of family drops the pool and gives the freed heap back to the
+    OS (`util.retain_heap` keeps it mapped), so an encode's planes do not
+    stay resident under a decode; a repeat claim is free."""
+    if _BUFS.kind == kind:
+        return
+    _BUFS.clear()
+    _BUFS.kind = kind
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL("libc.so.6").malloc_trim
+    except (OSError, AttributeError):
+        return  # non-glibc platform
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)

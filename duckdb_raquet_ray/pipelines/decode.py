@@ -22,7 +22,7 @@ The read_raquet family re-expressed (SURVEY.md §2.1):
                                           embarrassingly parallel comparison
 
 The metadata broadcast pattern: manifest.json is loaded ONCE on the driver
-and closed over into the decode stage (fn_constructor_kwargs) — the
+and passed into the decode stage's constructor arguments — the
 broadcast-small-side join of the reference's metadata row
 (raquet_extension.cpp:40-44), never a shuffle.
 """
@@ -40,10 +40,11 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from .. import blockcodec as bc
+from ..codecs import scratch
 from ..functions import partition_keys as pk
 from ..pipelines import transforms as tr
 from ..stages import encoder as enc
-from ..util import default_concurrency, retain_heap
+from ..util import default_concurrency, map_stage, retain_heap
 from ..state import fsio
 from ..state import manifest as mf
 from .encode import plan_partitions
@@ -72,15 +73,12 @@ def _read_projection(columns: list[str] | None) -> list[str] | None:
 
 
 class PartitionDecoder:
-    """Actor-pool stage: one partition file per input row — read + decode
-    in-process, so the large encoded blobs never round-trip through the
-    object store; only the decoded rows enter plasma and stream on with
-    backpressure. An ACTOR pool on purpose, symmetric with
-    PartitionEncoder: (a) the descriptor/manifest caches live per actor,
-    and (b) an actor operator never fuses with a downstream task operator
-    — a fused task-task chain re-bundles the one-row path blocks up to the
-    downstream batch_size and can collapse the whole file list into a
-    single serial task."""
+    """Decode stage, run as a task (util.map_stage, whose fusion barrier
+    keeps it its own operator): one partition file per input row — read +
+    decode in-process, so the large encoded blobs never round-trip through
+    the object store; only the decoded rows enter plasma and stream on
+    with backpressure. Claims the scratch pool for decode, so a worker
+    that just encoded starts lean."""
 
     def __init__(
         self,
@@ -91,12 +89,13 @@ class PartitionDecoder:
         self.columns = columns
         self.read_cols = _read_projection(columns)
         retain_heap()  # see PartitionEncoder.__init__ / util.retain_heap
+        scratch.claim("decode")
         # compute pushdown: apply a batch transform to each decoded
-        # partition IN the decode actor, so only the transform's output
+        # partition IN the decode task, so only the transform's output
         # (often per-row stats or an aggregate — a fraction of the decoded
         # bytes) ever enters the object store. Without it, a decode→compute
         # pipeline ships the full decoded corpus through plasma between the
-        # actor stage and the downstream task stage — measured as the whole
+        # decode stage and the downstream stage — measured as the whole
         # encode/decode throughput gap (VERDICT r1 "close the decode gap").
         self.transform = transform
         # the projected decoded schema, for empty work blocks: returning a
@@ -131,7 +130,7 @@ def read_encoded(
     """Encoded dir -> Dataset of decoded original rows (streaming).
 
     ``transform``: optional per-batch callable (pa.Table -> pa.Table)
-    applied inside the decode actors — compute pushdown so the pipeline
+    applied inside the decode tasks — compute pushdown so the pipeline
     ships the transform's (usually small) output instead of the full
     decoded rows."""
     files = encoded_part_files(out_dir, partition_ids)
@@ -139,22 +138,15 @@ def read_encoded(
         schema = mf.schema_from_b64(mf.load_metadata(out_dir)["schema_ipc"])
     except (FileNotFoundError, KeyError):
         schema = None  # pre-schema_ipc manifest: empty blocks fall back
-    ds = rd.from_items([{"path": f} for f in files], override_num_blocks=max(len(files), 1))
-    if concurrency is None:
-        concurrency = (1, default_concurrency(cap=max(len(files), 1)))
     # several files per task: per-task dispatch overhead (~tens of ms)
     # dominates small column-pruned reads when every file is its own task;
-    # cap the batch so the pool still has ~4 waves for pipelining
-    max_actors = concurrency[1] if isinstance(concurrency, tuple) else int(concurrency)
-    files_per_task = max(1, min(8, len(files) // max(4 * max_actors, 1)))
-    return ds.map_batches(
-        PartitionDecoder,
-        fn_constructor_kwargs={"columns": columns, "schema": schema, "transform": transform},
-        batch_size=files_per_task,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    # cap the batch so the tasks still run ~4 waves for pipelining
+    max_tasks = concurrency[1] if isinstance(concurrency, tuple) else (
+        concurrency or default_concurrency())
+    files_per_task = max(1, min(8, len(files) // max(4 * max_tasks, 1)))
+    kwargs = {"columns": columns, "schema": schema, "transform": transform}
+    return map_stage([{"path": f} for f in files], PartitionDecoder, kwargs,
+                     concurrency=concurrency, batch_size=files_per_task)
 
 
 def prune_partitions_parquet(out_dir: str, column: str, lo=None, hi=None) -> list[int]:
@@ -251,7 +243,7 @@ def read_encoded_source(out_dir: str, source: str, **kw) -> rd.Dataset:
 
 
 class PartitionStatsDecoder:
-    """Actor-pool stage: per-row token stats straight off the ENCODED
+    """Task stage: per-row token stats straight off the ENCODED
     partition files — aggregate pushdown INTO the codec. The for_rows
     layout already stores per-row bases and narrow residual buckets, so
     (count, sum, min, max) per row needs one narrow cumsum + two narrow
@@ -263,6 +255,7 @@ class PartitionStatsDecoder:
 
     def __init__(self, tokens_column: str = "tokens"):
         retain_heap()  # see PartitionEncoder.__init__ / util.retain_heap
+        scratch.claim("decode")
         self.tokens_column = tokens_column
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -318,17 +311,8 @@ def read_encoded_token_stats(
     ``read_encoded(transform=token_stats)`` minus the tokens/mean columns,
     at a fraction of the memory traffic."""
     files = encoded_part_files(out_dir, partition_ids)
-    ds = rd.from_items([{"path": f} for f in files], override_num_blocks=max(len(files), 1))
-    if concurrency is None:
-        concurrency = (1, default_concurrency(cap=max(len(files), 1)))
-    return ds.map_batches(
-        PartitionStatsDecoder,
-        fn_constructor_kwargs={"tokens_column": tokens_column},
-        batch_size=1,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    return map_stage([{"path": f} for f in files], PartitionStatsDecoder,
+                     {"tokens_column": tokens_column}, concurrency=concurrency)
 
 
 def read_encoded_for_shard(out_dir: str, shard_idx: int, **kw) -> rd.Dataset:

@@ -10,9 +10,9 @@ redesigned for partition independence:
                                       are pure lineage functions so resume
                                       and two-cluster runs re-plan identically
   Dataset(work items) ->
-    map_batches(PartitionEncoder,   -- actor pool; each actor reads its row
-                concurrency=N)         groups (pyarrow), plans codecs,
-                                       encodes, writes part-<pid>.parquet
+    map_stage(PartitionEncoder)     -- one task per item on warm workers:
+                                       reads its row groups (pyarrow), plans
+                                       codecs, encodes, writes part-<pid>
                                        tmp->rename, emits a manifest entry
   driver: append entries + finalize manifest.json
                                     -- the phase-3 metadata barrier
@@ -23,8 +23,8 @@ Reading inside the encode task (instead of read_parquet -> shuffle ->
 encode) is exactly how Ray Data's own read operator works — a read task IS
 an item — and it keeps the pipeline shuffle-free: block ≡ partition
 (SURVEY.md §1.1). At 100 TB the work-item list is ~10^5-10^6 tiny dicts —
-nothing — while the data itself streams through the actor pool with
-backpressure, one partition at a time per actor.
+nothing — while the data itself streams through the tasks with
+backpressure, one partition per task.
 
 Resume: completed partition ids (manifest 'done' + file exists) are
 filtered from the work list before launch — idempotent, no shuffle.
@@ -33,15 +33,18 @@ filtered from the work list before launch — idempotent, no shuffle.
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
+from ..codecs import scratch
 from ..functions import partition_keys as pk
-from ..util import default_concurrency, retain_heap
+from ..util import LocalDict, default_concurrency, map_stage, retain_heap
 from ..stages import encoder as enc
 from ..state import fsio
 from ..state import manifest as mf
@@ -50,35 +53,28 @@ DEFAULT_PART_BYTES = 64 * 1024 * 1024  # decoded bytes per partition
 MIN_PART_BYTES = 8 * 1024 * 1024
 MAX_PART_BYTES = 256 * 1024 * 1024
 TASKS_PER_CPU = 4  # target work-items per core, for pipelining + stragglers
-# encoder actors reserve 2 logical CPUs each: the kernel is memory-bandwidth
-# bound (measured: 16 concurrent encoders beat 32 on a 32-vCPU box, 0.72 vs
-# 0.36 GB/s — DRAM and host fault handling saturate near half the cores), so
-# half-density slots are the right per-node sizing, and each actor then sees
-# 2x the partitions, amortizing its scratch pool (codecs/scratch.py) better
+# encoder-family tasks (encode / compact / delete) reserve 2 logical CPUs
+# each: the kernel is memory-bandwidth bound (measured: 16 concurrent
+# encoders beat 32 on a 32-vCPU box, 0.72 vs 0.36 GB/s — DRAM and host fault
+# handling saturate near half the cores), so half-density slots are the
+# right per-node sizing
 ENCODER_NUM_CPUS = 2
 
-
-def _pool_size(
-    concurrency: int | tuple[int, int] | None, n_items: int
-) -> int | tuple[int, int]:
-    """Actor-pool sizing shared by every encoder-family job (encode /
-    compact / delete): a CPU budget becomes half-density actor slots
-    (ENCODER_NUM_CPUS rationale above), capped by the work-item count;
-    a tuple passes through as an explicit (min, max) pool."""
-    if concurrency is None:
-        concurrency = default_concurrency()
-    if isinstance(concurrency, int):
-        return max(1, min(concurrency // ENCODER_NUM_CPUS, max(n_items, 1)))
-    return concurrency
+_KEYS = LocalDict()  # the latest delete's keys + typed value sets
 
 
-def _typed_value_set(cache: dict, keys: list, typ: pa.DataType) -> pa.Array:
-    """Memoized typed Arrow array of a key list (keyed by target type):
-    large retention key sets must not re-materialize per partition."""
-    vs = cache.get(typ)
-    if vs is None:
-        vs = cache[typ] = pa.array(keys, type=typ)
-    return vs
+def _key_values(keys, typ: pa.DataType) -> pa.Array:
+    """Typed Arrow value set of a delete's keys (an ObjectRef, or a list
+    held so its id stays unique), memoised per process for the latest key
+    set: stages built per batch must not re-fetch or re-type 10^6 keys."""
+    is_ref = isinstance(keys, ray.ObjectRef)
+    src = keys.hex() if is_ref else id(keys)
+    if _KEYS.get("src") != src:
+        _KEYS.clear()
+        _KEYS.update(src=src, keys=ray.get(keys) if is_ref else keys)
+    if typ not in _KEYS:
+        _KEYS[typ] = pa.array(_KEYS["keys"], type=typ)
+    return _KEYS[typ]
 
 
 def _footer_md(path: str, md_cache: dict | None):
@@ -205,12 +201,11 @@ def plan_partitions(
 
 
 class PartitionEncoder:
-    """Actor-pool stage: encode one work item per input row.
-
-    Per-actor state (scratch, nothing heavyweight today; the slot where a
-    shared model/symbol-table cache would live) is created once in
-    __init__ — the reference's per-thread lazy state
-    (read_raster.cpp:264-286, 1230-1242)."""
+    """Encode stage: one work item per input row, run as a task
+    (util.map_stage). It holds no per-job state; the per-process state —
+    the scratch pool and the retained heap, the reference's per-thread
+    lazy state (read_raster.cpp:264-286, 1230-1242) — is module-level, so
+    a warm worker keeps it across partitions and jobs."""
 
     def __init__(self, out_dir: str | None):
         self.out_dir = out_dir
@@ -220,14 +215,15 @@ class PartitionEncoder:
         # decay): re-faulting purged pages measurably dominates encode at
         # high parallelism (same rationale as codecs/scratch.py for numpy)
         retain_heap()
+        scratch.claim("encode")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         entries = []
         for item in batch.to_pylist():
             pid = item["partition_id"]
             pf = pq.ParquetFile(item["shard"])
-            # single-threaded read: each actor owns one CPU; pyarrow's
-            # default pool is sized to the whole machine, and N actors x
+            # single-threaded read: each task owns its CPUs; pyarrow's
+            # default pool is sized to the whole machine, and N tasks x
             # N arrow threads thrash the scheduler at high concurrency
             table = pf.read_row_groups(item["row_groups"], use_threads=False)
             encoded, entry = enc.encode_table(
@@ -368,26 +364,18 @@ def _encode_ordered(
     writer = mf.ManifestWriter(out_dir)
     try:
         if todo:
-            n_actors = _pool_size(concurrency, len(todo))
-            # one block per work item: map_batches parallelism is per-BLOCK
-            # (batch_size only slices batches within a task), so without
-            # this the whole work list can serialize onto one actor.
-            # Largest-first (LPT): partition sizes vary (greedy row-group
+            # map_stage makes one block per work item: map_batches
+            # parallelism is per-BLOCK (batch_size only slices batches
+            # within a task), else the work list can serialize onto one
+            # task. Largest-first (LPT): partition sizes vary (greedy row-group
             # packing), and the last-started partition bounds job wall —
             # submitting big ones first shrinks the straggler tail, which
-            # is the dominant non-scaling term once actors are warm
+            # is the dominant non-scaling term once workers are warm
             todo = sorted(
                 todo, key=lambda it: it.get("decoded_bytes", 0), reverse=True
             )
-            ds = rd.from_items(todo, override_num_blocks=len(todo))
-            results = ds.map_batches(
-                PartitionEncoder,
-                fn_constructor_kwargs={"out_dir": out_dir},
-                batch_size=1,
-                batch_format="pyarrow",
-                concurrency=n_actors,
-                num_cpus=ENCODER_NUM_CPUS,
-            )
+            results = map_stage(todo, PartitionEncoder, {"out_dir": out_dir},
+                                concurrency=concurrency, num_cpus=ENCODER_NUM_CPUS)
             # entries are tiny; stream them back and append in completion order
             for row in results.iter_rows():
                 writer.append(json.loads(row["entry_json"]))
@@ -481,16 +469,17 @@ def append_job(
 
 
 class GroupCompactor:
-    """Actor-pool stage for compact_job: one work item = one GROUP of
-    source partitions -> decode each part file, concat in partition-id
-    order, re-encode as ONE right-sized partition. Per-actor scratch
-    state in __init__ (the PartitionEncoder discipline)."""
+    """Task stage for compact_job: one work item = one GROUP of source
+    partitions -> decode each part file, concat in partition-id order,
+    re-encode as ONE right-sized partition (the PartitionEncoder
+    discipline)."""
 
     def __init__(self, src_dir: str, out_dir: str):
         self.src_dir = src_dir
         self.out_dir = out_dir
         os.makedirs(out_dir, exist_ok=True)
         retain_heap()
+        scratch.claim("encode")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         entries = []
@@ -538,7 +527,7 @@ def compact_job(
 
     Scale shape: planning is O(partitions) manifest rows on the driver
     (the same order as resume's done-set); the decode+re-encode fans out
-    one task per GROUP through an actor pool, each task reading only its
+    one task per GROUP, each task reading only its
     own group's part files; entries stream back and the manifest
     finalizes from the journal. Output ids are ``pack(group_index, 0)``
     — valid lineage ids, so every decode/stats/rollup path reads the
@@ -568,9 +557,7 @@ def compact_job(
     # consecutive indices over the source done-set, so a resume after the
     # source changed (append/delete) would re-group and silently skip a
     # grown last group under an already-done id — roster drift must raise
-    import hashlib as _hashlib
-
-    roster = _hashlib.sha256(
+    roster = hashlib.sha256(
         json.dumps(
             sorted([int(p), int(e["input_bytes"])] for p, e in done_src.items())
         ).encode()
@@ -654,17 +641,9 @@ def compact_job(
     writer = mf.ManifestWriter(out_dir)
     try:
         if todo:
-            n_actors = _pool_size(concurrency, len(todo))
             todo = sorted(todo, key=lambda it: it["decoded_bytes"], reverse=True)
-            ds = rd.from_items(todo, override_num_blocks=len(todo))
-            results = ds.map_batches(
-                GroupCompactor,
-                fn_constructor_kwargs={"src_dir": src_dir, "out_dir": out_dir},
-                batch_size=1,
-                batch_format="pyarrow",
-                concurrency=n_actors,
-                num_cpus=ENCODER_NUM_CPUS,
-            )
+            results = map_stage(todo, GroupCompactor, {"src_dir": src_dir, "out_dir": out_dir},
+                                concurrency=concurrency, num_cpus=ENCODER_NUM_CPUS)
             for row in results.iter_rows():
                 writer.append(json.loads(row["entry_json"]))
         meta = writer.finalize(
@@ -681,29 +660,20 @@ def compact_job(
 
 
 class PartitionDeleter:
-    """Actor-pool stage for delete_job: one work item = one AFFECTED
+    """Task stage for delete_job: one work item = one AFFECTED
     partition -> decode, drop the targeted keys, re-encode, and STAGE
     the result under a tmp name. Nothing destructive happens in the
-    actor: the DRIVER journals each entry and only then replaces (or
+    task: the DRIVER journals each entry and only then replaces (or
     removes) the live file — so a kill at any point leaves a journal
     that is either consistent with the files or strictly behind them,
     and a re-run's key-plane probe heals the difference (see
-    delete_job's crash-safety contract). The typed Arrow key set is
-    built once per actor per key type (large retention key lists must
-    not re-materialize per partition)."""
+    delete_job's crash-safety contract). Keys: see `_key_values`."""
 
     def __init__(self, out_dir: str, keys_ref):
-        import ray as _ray
-
         self.out_dir = out_dir
-        self.keys = (
-            _ray.get(keys_ref) if isinstance(keys_ref, _ray.ObjectRef) else keys_ref
-        )
-        self._vsets: dict = {}
+        self.keys_ref = keys_ref
         retain_heap()
-
-    def _value_set(self, typ: pa.DataType) -> pa.Array:
-        return _typed_value_set(self._vsets, self.keys, typ)
+        scratch.claim("encode")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import uuid as _uuid
@@ -717,7 +687,7 @@ class PartitionDeleter:
             path = os.path.join(self.out_dir, pk.part_file_name(pid))
             table = enc.decode_rows(pq.read_table(path, use_threads=False))
             col = table.column(key_col)
-            keep = pc.invert(pc.is_in(col, value_set=self._value_set(col.type)))
+            keep = pc.invert(pc.is_in(col, value_set=_key_values(self.keys_ref, col.type)))
             kept = table.filter(keep)
             if kept.num_rows == table.num_rows:
                 continue  # planner false positive: nothing to rewrite
@@ -813,11 +783,9 @@ def delete_job(
     resume_skip_ids), so a later encode/compact re-run over this dir
     can never resurrect the erased rows from its inputs.
 
-    Scale shape: keys broadcast once (ray.put) and typed once per actor;
+    Scale shape: keys broadcast once (ray.put) and typed once per worker;
     the scan is column-pruned to the key plane; only affected partitions
     pay a rewrite. Driver state is O(partitions + affected)."""
-    import ray as _ray
-
     keys = list(keys)
     if not keys:
         raise ValueError("delete_job: empty key list")
@@ -838,9 +806,7 @@ def delete_job(
     # with a half-swapped file. The marker makes that loud: it is written
     # before any destructive step and removed only after finalize, and a
     # run with DIFFERENT keys refuses while it exists.
-    import hashlib as _hashlib
-
-    keys_sha = _hashlib.sha256(
+    keys_sha = hashlib.sha256(
         "\n".join(sorted(str(k) for k in keys)).encode()
     ).hexdigest()[:16]
     marker = os.path.join(out_dir, "_DELETE_INPROGRESS.json")
@@ -867,7 +833,7 @@ def delete_job(
                 os.remove(os.path.join(out_dir, pk.part_file_name(pid)))
             except FileNotFoundError:
                 pass
-    keys_ref = _ray.put(keys)
+    keys_ref = ray.put(keys)
     # the scan list derives from the ALREADY-loaded journal (one parse):
     # done + file-exists, never 'deleted' pids
     pids = sorted(
@@ -882,16 +848,13 @@ def delete_job(
         import pyarrow.compute as pc
 
         hits = []
-        kset = _ray.get(keys_ref)
-        vsets: dict = {}
         for item in batch.to_pylist():
             path = os.path.join(out_dir, pk.part_file_name(int(item["pid"])))
             t = enc.decode_rows(
                 pq.read_table(path, use_threads=False), columns=[key_col]
             )
             col = t.column(key_col)
-            vs = _typed_value_set(vsets, kset, col.type)
-            if pc.any(pc.is_in(col, value_set=vs)).as_py():
+            if pc.any(pc.is_in(col, value_set=_key_values(keys_ref, col.type))).as_py():
                 hits.append({"pid": int(item["pid"])})
         return pa.Table.from_pylist(
             hits, schema=pa.schema([("pid", pa.int64())])
@@ -922,16 +885,8 @@ def delete_job(
                 }
                 for p in affected
             ]
-            results = rd.from_items(
-                work, override_num_blocks=len(work)
-            ).map_batches(
-                PartitionDeleter,
-                fn_constructor_kwargs={"out_dir": out_dir, "keys_ref": keys_ref},
-                batch_size=1,
-                batch_format="pyarrow",
-                concurrency=_pool_size(concurrency, len(work)),
-                num_cpus=ENCODER_NUM_CPUS,
-            )
+            results = map_stage(work, PartitionDeleter, {"out_dir": out_dir, "keys_ref": keys_ref},
+                                concurrency=concurrency, num_cpus=ENCODER_NUM_CPUS)
             # journal FIRST, then make the destructive move — the window
             # between the two is the journal-ahead state the next run's
             # start-of-run sweep converges

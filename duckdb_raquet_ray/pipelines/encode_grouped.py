@@ -46,6 +46,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from .. import util
+from ..codecs import scratch
 from ..functions import detmix
 from ..functions import partition_keys as pk
 from . import encode
@@ -317,6 +318,7 @@ def encode_job_grouped(
     def encode_bucket(batch: pa.Table) -> pa.Table:
         import numpy as np
 
+        scratch.claim("encode")  # see encode.PartitionEncoder
         entries = []
         for row in batch.to_pylist():
             t = pa.concat_tables([pq.read_table(p) for p in row["paths"]])

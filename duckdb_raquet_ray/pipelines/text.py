@@ -241,9 +241,12 @@ def token_count_batch(
     """Whitespace token count only (the cheap, oracle-checkable subset).
     One RE2 `\\S+` count pass (pc.count_substring_regex) — the SAME
     regex engine as the DuckDB oracle's regexp_extract_all, so the
-    count is engine-identical by construction. `_arr`: optional
-    precomputed filled Arrow array (the TextAnalyzer hot path fills the
-    column once and shares it)."""
+    count is engine-identical by construction. RE2's `\\s` is ASCII
+    whitespace only, so NBSP, U+2028 and other Unicode spaces do NOT split
+    `ws_tokens`, while `functions/words.split_ws` (stop_ratio, BM25 `dl`)
+    splits on Unicode whitespace: the counts differ on such text.
+    `_arr`: optional precomputed filled Arrow array (the TextAnalyzer hot
+    path fills the column once and shares it)."""
     batch = util.strip_schema_metadata(batch)  # pandas-written parquet input
     arr = _filled_text(batch, text_col) if _arr is None else _arr
     n = pc.count_substring_regex(arr, r"\S+").cast(pa.int64())

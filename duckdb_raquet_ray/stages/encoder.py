@@ -16,10 +16,10 @@ One *partition* (a contiguous row range of one input shard, or one
                               (the band_1..band_N blobs analogue,
                               read_raster.cpp:1068-1077)
 
-Stage callables are plain classes for `map_batches(Cls, concurrency=...)`
-actor pools: scratch and per-source FSST/plan caches live in __init__
-(the reference's lazily-initialized per-thread state,
-read_raster.cpp:264-286), work happens per batch in __call__.
+The pipeline stages (pipelines/encode.py, pipelines/decode.py) run this
+module's functions as Ray tasks (util.map_stage); per-process state — the
+codec scratch pool, the retained heap — is module-level, the reference's
+lazily-initialized per-thread state (read_raster.cpp:264-286).
 """
 
 from __future__ import annotations
@@ -312,6 +312,5 @@ def decode_batch(batch: pa.Table, columns: list[str] | None = None) -> pa.Table:
     """Inverse stage (stateless task): encoded partition rows -> original
     rows. A plain function on purpose: stateless stages as task pools stay
     elastic and can never reserve-deadlock a small cluster the way a
-    fleet of actor pools can; actor pools are kept for stages with real
-    per-worker state (pipelines/encode.py PartitionEncoder)."""
+    fleet of actor pools can."""
     return decode_rows(batch, columns)

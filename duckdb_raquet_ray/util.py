@@ -101,6 +101,15 @@ def scaled_buckets(
     return int(n)
 
 
+class LocalDict(dict):
+    """Per-process module state that PICKLES AS EMPTY: by-value shipping
+    (cloudpickle) would carry a plain dict's driver contents into every
+    task payload (see codecs/scratch.py)."""
+
+    def __reduce__(self):
+        return (type(self), ())
+
+
 _HEAP_RETAINED_PID: int | None = None
 
 
@@ -127,8 +136,8 @@ def retain_heap() -> None:
       non-scaling term in the 2->8 cpu pair. jemalloc decay is still
       disabled as a fallback for buffers allocated before this runs.
 
-    Call from every actor-pool ``__init__`` (or hot task fn) whose tasks
-    move partition-sized arrays; idempotent and ~free when repeated."""
+    Call from every stage ``__init__`` (or hot task fn) that moves
+    partition-sized arrays; idempotent and ~free when repeated."""
     # pid-keyed, not a bool: the flag travels INTO workers when the module
     # ships by value (see codecs/scratch.py on by-value module state), and
     # a driver-set True must not make a fresh worker skip the mallopt
@@ -161,8 +170,8 @@ def retain_heap() -> None:
 
 
 def default_concurrency(cap: int | None = None) -> int:
-    """Actor-pool size default: the cluster's CPU count (map_batches with a
-    callable class requires explicit concurrency in Ray 2.49)."""
+    """Default parallelism of a job: the cluster's CPU count (the OS count
+    before Ray is up), optionally capped."""
     import ray
 
     try:
@@ -176,6 +185,37 @@ def default_concurrency(cap: int | None = None) -> int:
     if cap is None:
         return n
     return max(1, min(n, cap))
+
+
+def _run_stage(batch, stage, kwargs):
+    return stage(**kwargs)(batch)
+
+
+def map_stage(items: list, stage, kwargs: dict, *, concurrency, num_cpus: int = 1,
+              batch_size: int = 1):
+    """Run a partition stage class over work items (one block each) as a
+    Ray Data TASK stage, each task calling ``stage(**kwargs)(batch)``: the
+    stages' per-process state (the codecs/scratch.py pool, `retain_heap`)
+    is module-level, so Ray's warm workers serve every job and no CPU
+    stays held once a job returns. ``concurrency`` becomes a task count,
+    at most one per batch: an int (or None, all CPUs) is a CPU budget split
+    into ``num_cpus`` slots, a (min, max) gives its max.
+    ``ray_remote_args_fn`` is the fusion barrier: Ray never fuses such an
+    operator, so a downstream batched map with the same task count cannot
+    absorb the stage and bundle its one-row blocks into one serial task."""
+    import ray.data as rd
+
+    if isinstance(concurrency, tuple):
+        tasks = concurrency[1]
+    else:
+        cpus = default_concurrency() if concurrency is None else concurrency
+        tasks = cpus // num_cpus
+    tasks = max(1, min(tasks, -(-len(items) // batch_size)))
+    ds = rd.from_items(items, override_num_blocks=max(len(items), 1))
+    return ds.map_batches(
+        _run_stage, fn_kwargs={"stage": stage, "kwargs": kwargs}, batch_size=batch_size,
+        batch_format="pyarrow", concurrency=tasks, num_cpus=num_cpus, ray_remote_args_fn=dict,
+    )
 
 
 def row_digest(ds, cols: list[str]) -> str:

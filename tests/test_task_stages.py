@@ -1,0 +1,148 @@
+"""The partition stages run as Ray Data task stages (util.map_stage): no
+CPU stays held after a job, decode never fuses into a downstream map, a
+worker's scratch pool changes hands cleanly between stage families, and
+a delete's key set is built once per worker process."""
+
+import gc
+import os
+import re
+import shutil
+import time
+
+import pyarrow as pa
+import pytest
+import ray
+
+from duckdb_raquet_ray.codecs import scratch
+from duckdb_raquet_ray.functions import partition_keys as pk
+from duckdb_raquet_ray.pipelines import decode, encode
+from duckdb_raquet_ray.sources import tokens
+from duckdb_raquet_ray.state import manifest as mf
+
+
+@pytest.fixture(scope="module")
+def enc_dir(ray_session, tmp_path_factory):
+    root = tmp_path_factory.mktemp("task_stages")
+    paths = tokens.write_corpus(str(root / "c"), 4000, 4, row_group_rows=512)
+    d = str(root / "enc")
+    encode.encode_job(paths, d, target_part_bytes=1)  # one file per row group
+    return d, paths, root
+
+
+def _wait_all_cpus_free(limit_s: float) -> float:
+    """Seconds until every cluster CPU is available again, or inf."""
+    total = ray.cluster_resources()["CPU"]
+    t0 = time.monotonic()
+    while time.monotonic() - t0 < limit_s:
+        if ray.available_resources().get("CPU", 0) >= total:
+            return time.monotonic() - t0
+        time.sleep(0.05)
+    return float("inf")
+
+
+def test_jobs_leave_no_cpus_held_without_gc(enc_dir):
+    """An actor pool kept every CPU until the driver's cyclic GC ran; task
+    stages release them when the job returns."""
+    _, paths, root = enc_dir
+    gc.collect()  # earlier tests' pools, if any, are not this test's subject
+    assert _wait_all_cpus_free(30) < 30
+    gc.disable()
+    try:
+        encode.encode_job(paths, str(root / "held"), target_part_bytes=1 << 20)
+        assert _wait_all_cpus_free(2) < 2
+        assert decode.read_encoded(str(root / "held")).count() == 4000
+        assert _wait_all_cpus_free(2) < 2
+    finally:
+        gc.enable()
+
+
+def _decode_tasks(ds) -> int:
+    """Tasks the decode operator ran, from the executed dataset's stats."""
+    m = re.search(r"Operator \d+ MapBatches\(_run_stage\)(\S*): (\d+) tasks", ds.stats())
+    assert m and m.group(1) == "", f"decode fused or missing:\n{ds.stats()}"
+    return int(m.group(2))
+
+
+@pytest.mark.parametrize("downstream", [2, None])
+def test_decode_never_fuses_downstream(enc_dir, downstream):
+    """A downstream batched map with the decode's own task count would
+    fuse with it and bundle every file into one serial task."""
+    d, _, _ = enc_dir
+    n_files = len(decode.encoded_part_files(d))
+    assert n_files >= 6
+    ds = decode.read_encoded(d, columns=["n_tok"], concurrency=2).map_batches(
+        lambda b: b, batch_size=100_000, batch_format="pyarrow", concurrency=downstream
+    ).materialize()
+    assert ds.count() == 4000
+    assert _decode_tasks(ds) == n_files
+
+
+def test_range_residual_is_its_own_operator(enc_dir):
+    d, _, _ = enc_dir
+    ds = decode.read_encoded_range(d, "n_tok", lo=10, hi=100, concurrency=2).materialize()
+    _decode_tasks(ds)
+    assert re.search(r"Operator \d+ MapBatches\(residual\): ", ds.stats())
+    assert all(10 <= v <= 100 for v in ds.to_pandas()["n_tok"])
+
+
+_ENCODE_ONLY_TAGS = {
+    "rc.p64", "rc.dflag", "rc.delig", "rc.dsel", "rc.resid", "rc.gdict",
+    "rc.ranks", "rc.narrow", "ic.split", "ic.narrow",
+}
+
+
+def test_scratch_claim_switch_releases_encoder_buffers(tmp_path):
+    """Encode then decode in one process: the decode stage's claim drops
+    every encoder buffer; a repeat claim of the same kind is a no-op."""
+    paths = tokens.write_corpus(str(tmp_path / "c"), 2000, 1, row_group_rows=1024)
+    out = str(tmp_path / "enc")
+    item = encode.plan_partitions(paths, 1)[0]
+    encode.PartitionEncoder(out)(pa.Table.from_pylist([item]))
+    assert scratch._BUFS.kind == "encode"
+    assert _ENCODE_ONLY_TAGS & set(scratch._BUFS), "encode drew no scratch"
+    before = dict(scratch._BUFS)
+    scratch.claim("encode")
+    assert scratch._BUFS.keys() == before.keys()
+    assert all(scratch._BUFS[t] is before[t] for t in before)
+
+    stage = decode.PartitionDecoder()
+    assert scratch._BUFS.kind == "decode" and not scratch._BUFS
+    path = os.path.join(out, pk.part_file_name(item["partition_id"]))
+    assert stage(pa.table({"path": [path]})).num_rows == 1024
+    assert not _ENCODE_ONLY_TAGS & set(scratch._BUFS)
+    before = dict(scratch._BUFS)
+    scratch.claim("decode")
+    assert scratch._BUFS.keys() == before.keys()
+    assert all(scratch._BUFS[t] is before[t] for t in before)
+    scratch.clear()
+
+
+def test_delete_key_set_built_once_per_process(enc_dir, tmp_path, monkeypatch):
+    """Two deleter stages on one keys ref (two tasks on one worker) fetch
+    and type the key set once; a new ref replaces it."""
+    d, _, _ = enc_dir
+    d = shutil.copytree(d, str(tmp_path / "del"))
+    pids = mf.load_metadata(d)["partition_ids"][:2]
+    keys = [
+        decode.point_lookup(d, p, columns=["doc_id"]).column("doc_id")[0].as_py()
+        for p in pids
+    ]
+    ref = ray.put(keys)
+    gets = []
+    real_get = ray.get
+    monkeypatch.setattr(
+        ray, "get", lambda r, *a, **k: gets.append(r) or real_get(r, *a, **k)
+    )
+    built = []
+    for pid in pids:
+        res = encode.PartitionDeleter(d, ref)(
+            pa.Table.from_pylist([{"pid": pid, "key_column": "doc_id"}])
+        )
+        assert res.num_rows == 1 and res.column("staged")[0].as_py()
+        built.append([v for k, v in encode._KEYS.items() if isinstance(k, pa.DataType)])
+    assert len(gets) == 1
+    assert len(built[0]) == 1 and built[1][0] is built[0][0]
+    assert sorted(built[0][0].to_pylist()) == sorted(keys)
+    other = ray.put(keys[:1])
+    assert encode._key_values(other, pa.string()).to_pylist() == keys[:1]
+    assert len(gets) == 2
