@@ -88,7 +88,7 @@ class PartitionDecoder:
     ):
         self.columns = columns
         self.read_cols = _read_projection(columns)
-        retain_heap()  # see PartitionEncoder.__init__ / util.retain_heap
+        retain_heap()  # see encode.EncodeStage / util.retain_heap
         scratch.claim("decode")
         # compute pushdown: apply a batch transform to each decoded
         # partition IN the decode task, so only the transform's output
@@ -254,7 +254,7 @@ class PartitionStatsDecoder:
     no-wrap gate), so the output is always exactly token_stats'."""
 
     def __init__(self, tokens_column: str = "tokens"):
-        retain_heap()  # see PartitionEncoder.__init__ / util.retain_heap
+        retain_heap()  # see encode.EncodeStage / util.retain_heap
         scratch.claim("decode")
         self.tokens_column = tokens_column
 

@@ -11,13 +11,16 @@ redesigned for partition independence:
                                       and two-cluster runs re-plan identically
   Dataset(work items) ->
     map_stage(PartitionEncoder)     -- one task per item on warm workers:
-                                       reads its row groups (pyarrow), plans
-                                       codecs, encodes, writes part-<pid>
+                                       reads its row groups (pyarrow), then
+                                       publish_partition plans codecs,
+                                       encodes, writes part-<pid>
                                        tmp->rename, emits a manifest entry
-  driver: append entries + finalize manifest.json
+  driver: journal_stage appends entries + finalizes manifest.json
                                     -- the phase-3 metadata barrier
                                        (read_raster.cpp:1486-1590), reduced
                                        to a driver-side fold
+Append, compact, delete and the grouped reduce share this core and differ
+only in the stage's "which rows" step.
 
 Reading inside the encode task (instead of read_parquet -> shuffle ->
 encode) is exactly how Ray Data's own read operator works — a read task IS
@@ -139,6 +142,21 @@ def auto_target_part_bytes(
     return max(MIN_PART_BYTES, min(MAX_PART_BYTES, target))
 
 
+def _pack_runs(keys: list, sizes: list[int], target: int) -> list[list]:
+    """Greedily pack consecutive ``keys`` (``sizes`` bytes each) into runs
+    of at most ~``target`` bytes; an item larger than target runs alone."""
+    runs, cur, cur_b = [], [], 0
+    for key, size in zip(keys, sizes):
+        if cur and cur_b + size > target:
+            runs.append(cur)
+            cur, cur_b = [], 0
+        cur.append(key)
+        cur_b += size
+    if cur:
+        runs.append(cur)
+    return runs
+
+
 def plan_partitions(
     input_paths: list[str],
     target_part_bytes: int = DEFAULT_PART_BYTES,
@@ -165,18 +183,8 @@ def plan_partitions(
     items: list[dict] = []
     for shard_idx, path in enumerate(ordered, start=first_shard_index):
         md = _footer_md(path, md_cache)
-        groups: list[list[int]] = []
-        cur: list[int] = []
-        cur_bytes = 0
-        for rg in range(md.num_row_groups):
-            size = md.row_group(rg).total_byte_size
-            if cur and cur_bytes + size > target_part_bytes:
-                groups.append(cur)
-                cur, cur_bytes = [], 0
-            cur.append(rg)
-            cur_bytes += size
-        if cur:
-            groups.append(cur)
+        sizes = [md.row_group(rg).total_byte_size for rg in range(md.num_row_groups)]
+        groups = _pack_runs(list(range(md.num_row_groups)), sizes, target_part_bytes)
         rg_rows = [md.row_group(rg).num_rows for rg in range(md.num_row_groups)]
         rg_offsets = [0]
         for r in rg_rows:
@@ -192,56 +200,122 @@ def plan_partitions(
                     "row_range": [row_start, row_end],
                     # decoded size estimate, used only for LPT scheduling
                     # (largest-first submission); identity stays (shard, idx)
-                    "decoded_bytes": sum(
-                        md.row_group(rg).total_byte_size for rg in rgs
-                    ),
+                    "decoded_bytes": sum(sizes[rg] for rg in rgs),
                 }
             )
     return items
 
 
-class PartitionEncoder:
-    """Encode stage: one work item per input row, run as a task
-    (util.map_stage). It holds no per-job state; the per-process state —
-    the scratch pool and the retained heap, the reference's per-thread
-    lazy state (read_raster.cpp:264-286, 1230-1242) — is module-level, so
-    a warm worker keeps it across partitions and jobs."""
+# part files hold already-compressed blobs. No footer statistics: min/max
+# over 10s-of-MB binary blobs costs half the write (measured 300->156 ms
+# per partition) and nothing reads them — pruning uses the manifest +
+# explicit stat_* columns
+_PART_WRITE = {"compression": "none", "write_statistics": False}
+_STAGE_RESULT = pa.schema([("entry_json", pa.string()), ("staged", pa.string())])
 
-    def __init__(self, out_dir: str | None):
+
+def publish_partition(
+    out_dir: str, table: pa.Table, pid: int, *, stage: bool = False,
+    extra: dict | None = None, **lineage,
+) -> dict:
+    """Stage half of the rewrite core: encode one partition's rows
+    (``lineage``: encode_table's input_shard / row_range; ``extra`` joins
+    the entry) and publish part-<pid> absent-or-complete — or, with
+    ``stage``, leave a publish temp for `journal_stage` to rename over the
+    live file once the entry is journaled. Returns the stage's result row."""
+    encoded, entry = enc.encode_table(table, pid, **lineage)
+    entry.update(extra or {})
+    path = os.path.join(out_dir, pk.part_file_name(pid))
+    staged = ""
+    if stage:
+        staged = fsio.stage_table(encoded, path, **_PART_WRITE)
+    else:
+        fsio.publish_table(encoded, path, **_PART_WRITE)
+    return {"entry_json": json.dumps(entry), "staged": staged}
+
+
+def journal_stage(
+    out_dir: str, todo: list[dict], Stage, kwargs: dict, *,
+    concurrency: int | tuple[int, int] | None, schema: str, extra: dict,
+) -> dict:
+    """Driver half of the rewrite core: sweep the publish temps a killed
+    run left, run ``Stage(**kwargs)`` over the work items, journal each
+    entry, and finalize manifest.json with ``schema`` + ``extra``. Journal
+    FIRST, then the destructive move (swap a staged file in, remove a
+    'deleted' partition's file): a kill leaves the journal consistent with
+    the files or ahead of them, the window delete_job heals."""
+    fsio.sweep_tmp(out_dir)
+    writer = mf.ManifestWriter(out_dir)
+    try:
+        if todo:
+            # map_stage makes one block per work item: map_batches
+            # parallelism is per-BLOCK (batch_size only slices batches
+            # within a task), else the work list can serialize onto one
+            # task. Largest-first (LPT): partition sizes vary (greedy row-group
+            # packing), and the last-started partition bounds job wall —
+            # submitting big ones first shrinks the straggler tail, which
+            # is the dominant non-scaling term once workers are warm
+            todo = sorted(
+                todo, key=lambda it: it.get("decoded_bytes", 0), reverse=True
+            )
+            results = map_stage(todo, Stage, kwargs, concurrency=concurrency,
+                                num_cpus=ENCODER_NUM_CPUS)
+            # entries are tiny; stream them back and append in completion order
+            for row in results.iter_rows():
+                entry = json.loads(row["entry_json"])
+                writer.append(entry)
+                final = os.path.join(out_dir, pk.part_file_name(entry["partition_id"]))
+                if row["staged"]:
+                    os.replace(row["staged"], final)
+                elif entry["status"] == "deleted":
+                    try:
+                        os.remove(final)
+                    except FileNotFoundError:
+                        pass
+        return writer.finalize(schema, extra=extra)
+    finally:
+        writer.close()
+
+
+class EncodeStage:
+    """Base of the stages `journal_stage` runs: each subclass's OWN
+    ``__call__`` picks the rows and hands them to `publish_partition`.
+    The per-process state — the scratch pool and the retained heap, the
+    reference's per-thread lazy state (read_raster.cpp:264-286,
+    1230-1242) — is module-level, so a warm worker keeps it across jobs."""
+
+    def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
         # keep freed task memory mapped (glibc mmap thresholds + jemalloc
         # decay): re-faulting purged pages measurably dominates encode at
         # high parallelism (same rationale as codecs/scratch.py for numpy)
         retain_heap()
         scratch.claim("encode")
 
+    @staticmethod
+    def results(rows: list[dict]) -> pa.Table:
+        return pa.Table.from_pylist(rows, schema=_STAGE_RESULT)
+
+
+class PartitionEncoder(EncodeStage):
+    """Encode stage (encode_job / append_job): one work item = one planned
+    (shard, row-group range), read straight from its shard."""
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        entries = []
+        rows = []
         for item in batch.to_pylist():
-            pid = item["partition_id"]
-            pf = pq.ParquetFile(item["shard"])
             # single-threaded read: each task owns its CPUs; pyarrow's
             # default pool is sized to the whole machine, and N tasks x
             # N arrow threads thrash the scheduler at high concurrency
-            table = pf.read_row_groups(item["row_groups"], use_threads=False)
-            encoded, entry = enc.encode_table(
-                table, pid, input_shard=item["shard"], row_range=tuple(item["row_range"])
+            table = pq.ParquetFile(item["shard"]).read_row_groups(
+                item["row_groups"], use_threads=False
             )
-            if self.out_dir:
-                path = os.path.join(self.out_dir, pk.part_file_name(pid))
-                # absent-or-complete publish (local rename / object-store
-                # atomic upload — state/fsio.py); blobs are already
-                # compressed. No footer statistics: min/max over 10s-of-MB
-                # binary blobs costs half the write (measured 300->156 ms
-                # per partition) and nothing reads them — pruning uses the
-                # manifest + explicit stat_* columns
-                fsio.publish_table(
-                    encoded, path, compression="none", write_statistics=False
-                )
-            entries.append({"entry_json": json.dumps(entry)})
-        return pa.Table.from_pylist(entries, schema=pa.schema([("entry_json", pa.string())]))
+            rows.append(publish_partition(
+                self.out_dir, table, item["partition_id"],
+                input_shard=item["shard"], row_range=tuple(item["row_range"]),
+            ))
+        return self.results(rows)
 
 
 def encode_job(
@@ -347,8 +421,6 @@ def _encode_ordered(
     shards — append_job passes the count of already-FINALIZED shards so an
     append costs O(new shards), not O(corpus); their partitions are all in
     the done set anyway."""
-    # resume re-encodes a partition whose publish a kill interrupted
-    fsio.sweep_tmp(out_dir)
     items = plan_partitions(
         shard_order[plan_from:],
         target_part_bytes,
@@ -357,40 +429,19 @@ def _encode_ordered(
         md_cache=md_cache,
     )
     schema_arrow = check_schema_drift(shard_order, plan_from, md_cache)
-    schema_str = str(schema_arrow)
     done = mf.resume_skip_ids(out_dir) if resume else set()
     todo = [it for it in items if it["partition_id"] not in done]
 
-    writer = mf.ManifestWriter(out_dir)
-    try:
-        if todo:
-            # map_stage makes one block per work item: map_batches
-            # parallelism is per-BLOCK (batch_size only slices batches
-            # within a task), else the work list can serialize onto one
-            # task. Largest-first (LPT): partition sizes vary (greedy row-group
-            # packing), and the last-started partition bounds job wall —
-            # submitting big ones first shrinks the straggler tail, which
-            # is the dominant non-scaling term once workers are warm
-            todo = sorted(
-                todo, key=lambda it: it.get("decoded_bytes", 0), reverse=True
-            )
-            results = map_stage(todo, PartitionEncoder, {"out_dir": out_dir},
-                                concurrency=concurrency, num_cpus=ENCODER_NUM_CPUS)
-            # entries are tiny; stream them back and append in completion order
-            for row in results.iter_rows():
-                writer.append(json.loads(row["entry_json"]))
-        meta = writer.finalize(
-            schema_str,
-            extra={
-                # shard-index order, NOT re-sorted: verify_encoded replans
-                # from this list and appended shards keep their indices
-                "input_shards": list(shard_order),
-                "schema_ipc": mf.schema_to_b64(schema_arrow),
-            },
-        )
-    finally:
-        writer.close()
-    return meta
+    return journal_stage(
+        out_dir, todo, PartitionEncoder, {"out_dir": out_dir},
+        concurrency=concurrency, schema=str(schema_arrow),
+        extra={
+            # shard-index order, NOT re-sorted: verify_encoded replans
+            # from this list and appended shards keep their indices
+            "input_shards": list(shard_order),
+            "schema_ipc": mf.schema_to_b64(schema_arrow),
+        },
+    )
 
 
 def append_job(
@@ -468,45 +519,26 @@ def append_job(
     )
 
 
-class GroupCompactor:
+class GroupCompactor(EncodeStage):
     """Task stage for compact_job: one work item = one GROUP of source
     partitions -> decode each part file, concat in partition-id order,
-    re-encode as ONE right-sized partition (the PartitionEncoder
-    discipline)."""
+    re-encode as ONE right-sized partition."""
 
     def __init__(self, src_dir: str, out_dir: str):
+        super().__init__(out_dir)
         self.src_dir = src_dir
-        self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        retain_heap()
-        scratch.claim("encode")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        entries = []
+        rows = []
         for item in batch.to_pylist():
-            new_pid = int(item["new_pid"])
-            tables = []
-            for pid in item["src_pids"]:
-                path = os.path.join(self.src_dir, pk.part_file_name(int(pid)))
-                tables.append(
-                    enc.decode_rows(
-                        pq.read_table(path, use_threads=False)
-                    )
-                )
-            table = pa.concat_tables(tables).combine_chunks()
-            encoded, entry = enc.encode_table(
-                table, new_pid, input_shard=f"compact:{self.src_dir}"
-            )
-            fsio.publish_table(
-                encoded,
-                os.path.join(self.out_dir, pk.part_file_name(new_pid)),
-                compression="none",
-                write_statistics=False,
-            )
-            entries.append({"entry_json": json.dumps(entry)})
-        return pa.Table.from_pylist(
-            entries, schema=pa.schema([("entry_json", pa.string())])
-        )
+            paths = [os.path.join(self.src_dir, pk.part_file_name(int(p)))
+                     for p in item["src_pids"]]
+            table = pa.concat_tables(
+                [enc.decode_rows(pq.read_table(p, use_threads=False)) for p in paths]
+            ).combine_chunks()
+            rows.append(publish_partition(self.out_dir, table, int(item["new_pid"]),
+                                          input_shard=f"compact:{self.src_dir}"))
+        return self.results(rows)
 
 
 def compact_job(
@@ -613,20 +645,8 @@ def compact_job(
     # decoded bytes per group; a single oversized partition stays its own
     # group (splitting would need a row-range re-plan — out of scope)
     pids = sorted(done_src)
-    groups: list[list[int]] = []
-    cur: list[int] = []
-    cur_b = 0
-    for pid in pids:
-        b = int(done_src[pid]["input_bytes"])
-        if cur and cur_b + b > tgt:
-            groups.append(cur)
-            cur, cur_b = [], 0
-        cur.append(pid)
-        cur_b += b
-    if cur:
-        groups.append(cur)
+    groups = _pack_runs(pids, [int(done_src[p]["input_bytes"]) for p in pids], tgt)
 
-    fsio.sweep_tmp(out_dir)
     done_out = mf.resume_skip_ids(out_dir)
     todo = [
         {
@@ -638,55 +658,37 @@ def compact_job(
         if pk.pack(gi, 0) not in done_out
     ]
 
-    writer = mf.ManifestWriter(out_dir)
-    try:
-        if todo:
-            todo = sorted(todo, key=lambda it: it["decoded_bytes"], reverse=True)
-            results = map_stage(todo, GroupCompactor, {"src_dir": src_dir, "out_dir": out_dir},
-                                concurrency=concurrency, num_cpus=ENCODER_NUM_CPUS)
-            for row in results.iter_rows():
-                writer.append(json.loads(row["entry_json"]))
-        meta = writer.finalize(
-            src_meta["schema"],
-            extra={
-                "input_shards": src_meta.get("input_shards", []),
-                "schema_ipc": src_meta.get("schema_ipc"),
-                "compacted_from": os.path.abspath(src_dir),
-            },
-        )
-    finally:
-        writer.close()
-    return meta
+    return journal_stage(
+        out_dir, todo, GroupCompactor, {"src_dir": src_dir, "out_dir": out_dir},
+        concurrency=concurrency, schema=src_meta["schema"],
+        extra={
+            "input_shards": src_meta.get("input_shards", []),
+            "schema_ipc": src_meta.get("schema_ipc"),
+            "compacted_from": os.path.abspath(src_dir),
+        },
+    )
 
 
-class PartitionDeleter:
+class PartitionDeleter(EncodeStage):
     """Task stage for delete_job: one work item = one AFFECTED
     partition -> decode, drop the targeted keys, re-encode, and STAGE
-    the result under a tmp name. Nothing destructive happens in the
-    task: the DRIVER journals each entry and only then replaces (or
-    removes) the live file — so a kill at any point leaves a journal
-    that is either consistent with the files or strictly behind them,
-    and a re-run's key-plane probe heals the difference (see
-    delete_job's crash-safety contract). Keys: see `_key_values`."""
+    the result. Nothing destructive happens in the task: `journal_stage`
+    swaps (or removes) the live file only after journaling its entry
+    (see delete_job's crash-safety contract). Keys: see `_key_values`."""
 
     def __init__(self, out_dir: str, keys_ref):
-        self.out_dir = out_dir
+        super().__init__(out_dir)
         self.keys_ref = keys_ref
-        retain_heap()
-        scratch.claim("encode")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import uuid as _uuid
-
         import pyarrow.compute as pc
 
-        entries = []
+        rows = []
         for item in batch.to_pylist():
             pid = int(item["pid"])
-            key_col = item["key_column"]
             path = os.path.join(self.out_dir, pk.part_file_name(pid))
             table = enc.decode_rows(pq.read_table(path, use_threads=False))
-            col = table.column(key_col)
+            col = table.column(item["key_column"])
             keep = pc.invert(pc.is_in(col, value_set=_key_values(self.keys_ref, col.type)))
             kept = table.filter(keep)
             if kept.num_rows == table.num_rows:
@@ -703,41 +705,28 @@ class PartitionDeleter:
             if orig_rows is None:
                 orig_rows = table.num_rows + int(item.get("prior_deleted") or 0)
             deleted_rows = int(orig_rows) - kept.num_rows
-            if kept.num_rows == 0:
-                # full drop: the DRIVER removes the file after journaling
-                entry = {
-                    "partition_id": pid,
-                    "status": "deleted",
-                    "input_shard": shard,
-                    "n_rows": 0,
-                    "codecs": {},
-                    "input_bytes": 0,
-                    "encoded_bytes": 0,
-                    "deleted_rows": deleted_rows,
-                }
-                if rr is not None:
-                    entry["row_range"] = list(rr)
-                staged = None
-            else:
-                encoded, entry = enc.encode_table(
-                    kept,
-                    pid,
-                    input_shard=shard,
-                    row_range=tuple(rr) if rr is not None else None,
-                )
-                entry["deleted_rows"] = deleted_rows
-                entry["rewritten_by"] = "delete"
-                staged = path + f".tmp-delete-{_uuid.uuid4().hex[:8]}"
-                pq.write_table(
-                    encoded, staged, compression="none", write_statistics=False
-                )
-            entries.append(
-                {"entry_json": json.dumps(entry), "staged": staged or ""}
-            )
-        return pa.Table.from_pylist(
-            entries,
-            schema=pa.schema([("entry_json", pa.string()), ("staged", pa.string())]),
-        )
+            if kept.num_rows:
+                rows.append(publish_partition(
+                    self.out_dir, kept, pid, stage=True,
+                    extra={"deleted_rows": deleted_rows, "rewritten_by": "delete"},
+                    input_shard=shard, row_range=rr,
+                ))
+                continue
+            # full drop: journal_stage removes the file after journaling
+            entry = {
+                "partition_id": pid,
+                "status": "deleted",
+                "input_shard": shard,
+                "n_rows": 0,
+                "codecs": {},
+                "input_bytes": 0,
+                "encoded_bytes": 0,
+                "deleted_rows": deleted_rows,
+            }
+            if rr is not None:
+                entry["row_range"] = list(rr)
+            rows.append({"entry_json": json.dumps(entry), "staged": ""})
+        return self.results(rows)
 
 
 def delete_job(
@@ -822,10 +811,9 @@ def delete_job(
             )
     else:
         fsio.publish_bytes(json.dumps({"keys_sha": keys_sha}).encode(), marker)
-    # heal a killed prior delete: sweep staged tmps, and remove the live
-    # file of any partition whose LATEST journal entry says 'deleted'
-    # (the journal-ahead-of-files window)
-    fsio.sweep_tmp(out_dir)
+    # heal a killed prior delete: remove the live file of any partition
+    # whose LATEST journal entry says 'deleted' (the journal-ahead-of-files
+    # window; journal_stage sweeps the staged tmps)
     all_entries = mf.load_entries(out_dir)
     for pid, e in all_entries.items():
         if e.get("status") == "deleted":
@@ -868,49 +856,27 @@ def delete_job(
         .take_all()
     ]
 
-    writer = mf.ManifestWriter(out_dir)
-    try:
-        if affected:
-            # n_rows + deleted_rows is invariant across a partition's
-            # delete rewrites (validate_entries checks it against the
-            # span): the row count the partition was first written with
-            work = [
-                {
-                    "pid": p,
-                    "key_column": key_col,
-                    "row_range": all_entries[p].get("row_range"),
-                    "input_shard": all_entries[p].get("input_shard"),
-                    "orig_rows": int(all_entries[p]["n_rows"])
-                    + int(all_entries[p].get("deleted_rows") or 0),
-                }
-                for p in affected
-            ]
-            results = map_stage(work, PartitionDeleter, {"out_dir": out_dir, "keys_ref": keys_ref},
-                                concurrency=concurrency, num_cpus=ENCODER_NUM_CPUS)
-            # journal FIRST, then make the destructive move — the window
-            # between the two is the journal-ahead state the next run's
-            # start-of-run sweep converges
-            for row in results.iter_rows():
-                entry = json.loads(row["entry_json"])
-                writer.append(entry)
-                final = os.path.join(
-                    out_dir, pk.part_file_name(entry["partition_id"])
-                )
-                if row["staged"]:
-                    os.replace(row["staged"], final)
-                else:
-                    try:
-                        os.remove(final)
-                    except FileNotFoundError:
-                        pass
-        meta = writer.finalize(
-            meta0["schema"],
-            extra={
-                "input_shards": meta0.get("input_shards", []),
-                "schema_ipc": meta0.get("schema_ipc"),
-            },
-        )
-        os.remove(marker)  # the delete is now journal- AND file-consistent
-    finally:
-        writer.close()
+    # n_rows + deleted_rows is invariant across a partition's delete
+    # rewrites (validate_entries checks it against the span): the row
+    # count the partition was first written with
+    work = [
+        {
+            "pid": p,
+            "key_column": key_col,
+            "row_range": all_entries[p].get("row_range"),
+            "input_shard": all_entries[p].get("input_shard"),
+            "orig_rows": int(all_entries[p]["n_rows"])
+            + int(all_entries[p].get("deleted_rows") or 0),
+        }
+        for p in affected
+    ]
+    meta = journal_stage(
+        out_dir, work, PartitionDeleter, {"out_dir": out_dir, "keys_ref": keys_ref},
+        concurrency=concurrency, schema=meta0["schema"],
+        extra={
+            "input_shards": meta0.get("input_shards", []),
+            "schema_ipc": meta0.get("schema_ipc"),
+        },
+    )
+    os.remove(marker)  # the delete is now journal- AND file-consistent
     return meta

@@ -20,7 +20,8 @@ This is the engine's ONE wide operation, and it is a hash-bucket
 streaming repartition, not a sort: map tasks append each block's rows to
 per-bucket piece files (bucket = partition_id % n_buckets, so a group
 always lands whole in one bucket), then one reduce task per bucket
-encodes its groups. The lineage-partitioned `encode_job` (encode.py)
+(BucketEncoder) encodes its groups through encode.publish_partition and
+encode.journal_stage, the rewrite core. The lineage-partitioned `encode_job` (encode.py)
 needs no shuffle at all and is the default — and since the r2 dict
 bucket, lineage partitions are the MORE coherent alphabet and compress
 BETTER (BASELINE.md addendum). Use grouped mode for its source-
@@ -35,7 +36,6 @@ bit-identity across resumed/re-sharded runs.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
@@ -45,13 +45,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from .. import util
-from ..codecs import scratch
 from ..functions import detmix
 from ..functions import partition_keys as pk
 from . import encode
-from ..stages import encoder as enc
-from ..state import fsio
 from ..state import manifest as mf
 
 # ~25k rows ≈ 40 MB decoded per group: measured 7x faster end-to-end than
@@ -61,7 +57,6 @@ from ..state import manifest as mf
 # through the object store
 DEFAULT_GROUP_ROWS = 25_000
 NULL_SOURCE_KEY = "\x00<null-source>"  # partition-key stand-in for source IS NULL
-_ENTRY_SCHEMA = pa.schema([("entry_json", pa.string())])
 
 
 def _salts(batch: pa.Table, salt_map: dict[str, int], key: str = "doc_id") -> pa.Table:
@@ -165,7 +160,6 @@ def encode_job_grouped(
     target_group_rows: int | None = None,
     resume: bool = True,
     salt_map: dict[str, int] | None = None,
-    shuffle_buckets: int | None = None,
 ) -> dict:
     """source-salted shuffle encode job -> partition files + manifest.
 
@@ -192,7 +186,6 @@ def encode_job_grouped(
     ds = rd.read_parquet(sorted(input_paths))
     # mixed shard schemas would concat into null-filled grouped partitions
     schema_arrow = encode.check_schema_drift(sorted(input_paths), 1, {})
-    schema_str = str(schema_arrow)
     if salt_map is None:
         # count from a source-column-only read: the driver-side salt map
         # needs one tiny column, not a shuffle of the whole table
@@ -205,31 +198,6 @@ def encode_job_grouped(
             {"mode": "grouped", "target_group_rows": target_group_rows, "salt_map": salt_map},
         )
     done = mf.done_partition_ids(out_dir) if resume else set()
-    os.makedirs(out_dir, exist_ok=True)
-
-    def encode_one_group(group: pa.Table, source: str, salt: int) -> dict | None:
-        util.retain_heap()  # task workers are long-lived; idempotent per pid
-        pid = pk.pack_grouped(source, salt)
-        if pid in done:
-            return None
-        # composite sort key: bit-identity across runs requires a total
-        # order; doc_id alone leaves duplicate-key rows in shuffle-arrival
-        # order (rows identical in all three keys but differing elsewhere
-        # remain the one unordered residue — documented limitation)
-        group = group.sort_by(
-            [("doc_id", "ascending"), ("n_tok", "ascending"), ("_gsrc", "ascending")]
-        ).drop_columns(["_salt", "_gsrc"])
-        encoded, entry = enc.encode_table(
-            group, pid, input_shard=f"group:{source}/{salt}", row_range=None
-        )
-        entry["group"] = {"source": source, "salt": salt, "n_buckets": salt_map.get(source, 1)}
-        path = os.path.join(out_dir, pk.part_file_name(pid))
-        # write_statistics=False: see encode.PartitionEncoder — footer
-        # min/max over blob columns costs half the write and nothing reads it
-        fsio.publish_table(
-            encoded, path, compression="none", write_statistics=False
-        )
-        return entry
 
     salted = ds.map_batches(
         lambda b: _salts(b, salt_map), batch_format="pyarrow", batch_size=16384
@@ -253,7 +221,7 @@ def encode_job_grouped(
     # output filesystem (shared storage on a real cluster — the same
     # assumption the part files themselves make), never through a sort.
     n_groups = sum(salt_map.values())
-    n_buckets = shuffle_buckets or max(1, min(4096, math.ceil(n_groups / 4)))
+    n_buckets = max(1, min(4096, math.ceil(n_groups / 4)))
     shuffle_dir = os.path.join(out_dir, "_shuffle")
     shutil.rmtree(shuffle_dir, ignore_errors=True)
     os.makedirs(shuffle_dir, exist_ok=True)
@@ -315,53 +283,15 @@ def encode_job_grouped(
         "max_bucket_bytes": int(max(bucket_bytes.values(), default=0)),
     }
 
-    def encode_bucket(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        scratch.claim("encode")  # see encode.PartitionEncoder
-        entries = []
-        for row in batch.to_pylist():
-            t = pa.concat_tables([pq.read_table(p) for p in row["paths"]])
-            src = t.column("_gsrc").to_numpy(zero_copy_only=False)
-            salt = t.column("_salt").to_numpy(zero_copy_only=False)
-            order = np.lexsort((salt, src))
-            t = t.take(pa.array(order))
-            src, salt = src[order], salt[order]
-            change = np.nonzero((src[1:] != src[:-1]) | (salt[1:] != salt[:-1]))[0] + 1
-            starts = np.concatenate(([0], change, [len(src)]))
-            for s0, s1 in zip(starts[:-1], starts[1:]):
-                e = encode_one_group(
-                    t.slice(s0, s1 - s0), str(src[s0]), int(salt[s0])
-                )
-                if e is not None:
-                    entries.append({"entry_json": json.dumps(e)})
-        if not entries:
-            return _ENTRY_SCHEMA.empty_table()
-        return pa.Table.from_pylist(entries, schema=_ENTRY_SCHEMA)
-
-    writer = mf.ManifestWriter(out_dir)
     try:
-        if by_bucket:
-            # largest-first (LPT, same rationale as encode.encode_job):
-            # bucket sizes vary with the salt layout, and the last-started
-            # bucket bounds the reduce wall — big buckets go first
-            order = sorted(
-                by_bucket, key=lambda b: bucket_bytes.get(b, 0), reverse=True
-            )
-            items = rd.from_items(
-                [{"paths": by_bucket[b]} for b in order],
-                override_num_blocks=len(by_bucket),
-            )
-            # half-density slots, same rationale as encode.ENCODER_NUM_CPUS:
-            # the group-encode kernel is memory-bandwidth/fault-bound, and
-            # 16 concurrent encoders measurably beat 32 on a 32-vCPU box
-            results = items.map_batches(
-                encode_bucket, batch_format="pyarrow", batch_size=1, num_cpus=2
-            )
-            for row in results.iter_rows():
-                writer.append(json.loads(row["entry_json"]))
-        meta = writer.finalize(
-            schema_str,
+        # largest-first (LPT, in journal_stage): bucket sizes vary with the
+        # salt layout, and the last-started bucket bounds the reduce wall
+        return encode.journal_stage(
+            out_dir,
+            [{"paths": ps, "decoded_bytes": bucket_bytes.get(b, 0)}
+             for b, ps in by_bucket.items()],
+            BucketEncoder, {"out_dir": out_dir, "salt_map": salt_map},
+            concurrency=None, schema=str(schema_arrow),
             extra={
                 "mode": "grouped",
                 "salt_map": salt_map,
@@ -371,6 +301,45 @@ def encode_job_grouped(
             },
         )
     finally:
-        writer.close()
         shutil.rmtree(shuffle_dir, ignore_errors=True)
-    return meta
+
+
+class BucketEncoder(encode.EncodeStage):
+    """Reduce stage of the grouped shuffle: one work item = one bucket's
+    piece files -> split into its (source, salt) groups and publish each
+    as partition pack_grouped(source, salt)."""
+
+    def __init__(self, out_dir: str, salt_map: dict[str, int]):
+        super().__init__(out_dir)
+        self.salt_map = salt_map
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        import numpy as np
+
+        rows = []
+        for item in batch.to_pylist():
+            t = pa.concat_tables([pq.read_table(p) for p in item["paths"]])
+            src = t.column("_gsrc").to_numpy(zero_copy_only=False)
+            salt = t.column("_salt").to_numpy(zero_copy_only=False)
+            order = np.lexsort((salt, src))
+            t = t.take(pa.array(order))
+            src, salt = src[order], salt[order]
+            change = np.nonzero((src[1:] != src[:-1]) | (salt[1:] != salt[:-1]))[0] + 1
+            starts = np.concatenate(([0], change, [len(src)]))
+            for s0, s1 in zip(starts[:-1], starts[1:]):
+                source, k = str(src[s0]), int(salt[s0])
+                # composite sort key: bit-identity across runs requires a
+                # total order; doc_id alone leaves duplicate-key rows in
+                # shuffle-arrival order (rows identical in all three keys
+                # but differing elsewhere remain the one unordered residue
+                # — documented limitation)
+                group = t.slice(s0, s1 - s0).sort_by(
+                    [("doc_id", "ascending"), ("n_tok", "ascending"), ("_gsrc", "ascending")]
+                ).drop_columns(["_salt", "_gsrc"])
+                rows.append(encode.publish_partition(
+                    self.out_dir, group, pk.pack_grouped(source, k),
+                    extra={"group": {"source": source, "salt": k,
+                                     "n_buckets": self.salt_map.get(source, 1)}},
+                    input_shard=f"group:{source}/{k}", row_range=None,
+                ))
+        return self.results(rows)

@@ -86,12 +86,19 @@ def publish_table(
     """Write a Parquet file so the object at `path` is absent-or-complete."""
     fsys, p = (filesystem, path) if filesystem is not None else resolve(path)
     if _is_local(fsys):
-        tmp = _local_tmp(p)
-        pq.write_table(table, tmp, **write_kwargs)
-        os.replace(tmp, p)
+        os.replace(stage_table(table, p, **write_kwargs), p)
         return
     with fsys.open_output_stream(p) as f:
         pq.write_table(table, f, **write_kwargs)
+
+
+def stage_table(table: pa.Table, path: str, **write_kwargs) -> str:
+    """Write a Parquet publish temp for the LOCAL `path` and return its
+    name; the caller publishes it with `os.replace(tmp, path)` when ready
+    (a kill before that leaves only debris `sweep_tmp` removes)."""
+    tmp = _local_tmp(path)
+    pq.write_table(table, tmp, **write_kwargs)
+    return tmp
 
 
 def sweep_tmp(directory: str) -> None:

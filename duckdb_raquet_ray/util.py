@@ -169,9 +169,9 @@ def retain_heap() -> None:
         pass  # non-jemalloc arrow builds
 
 
-def default_concurrency(cap: int | None = None) -> int:
+def default_concurrency() -> int:
     """Default parallelism of a job: the cluster's CPU count (the OS count
-    before Ray is up), optionally capped."""
+    before Ray is up)."""
     import ray
 
     try:
@@ -182,9 +182,7 @@ def default_concurrency(cap: int | None = None) -> int:
         import os
 
         n = os.cpu_count() or 4
-    if cap is None:
-        return n
-    return max(1, min(n, cap))
+    return n
 
 
 def _run_stage(batch, stage, kwargs):

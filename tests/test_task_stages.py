@@ -1,21 +1,28 @@
 """The partition stages run as Ray Data task stages (util.map_stage): no
 CPU stays held after a job, decode never fuses into a downstream map, a
 worker's scratch pool changes hands cleanly between stage families, and
-a delete's key set is built once per worker process."""
+a delete's key set is built once per worker process. The encoder-family
+stages share one rewrite core (encode.publish_partition /
+encode.journal_stage): each keeps its own ``__call__``, the grouped
+reduce is its own operator, and every job's re-run sweeps publish temps."""
 
 import gc
+import glob
+import json
 import os
 import re
 import shutil
 import time
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 
 from duckdb_raquet_ray.codecs import scratch
 from duckdb_raquet_ray.functions import partition_keys as pk
 from duckdb_raquet_ray.pipelines import decode, encode
+from duckdb_raquet_ray.pipelines import encode_grouped as eg
 from duckdb_raquet_ray.sources import tokens
 from duckdb_raquet_ray.state import manifest as mf
 
@@ -56,10 +63,10 @@ def test_jobs_leave_no_cpus_held_without_gc(enc_dir):
         gc.enable()
 
 
-def _decode_tasks(ds) -> int:
-    """Tasks the decode operator ran, from the executed dataset's stats."""
+def _stage_tasks(ds) -> int:
+    """Tasks the map_stage operator ran, from the executed dataset's stats."""
     m = re.search(r"Operator \d+ MapBatches\(_run_stage\)(\S*): (\d+) tasks", ds.stats())
-    assert m and m.group(1) == "", f"decode fused or missing:\n{ds.stats()}"
+    assert m and m.group(1) == "", f"stage fused or missing:\n{ds.stats()}"
     return int(m.group(2))
 
 
@@ -74,13 +81,13 @@ def test_decode_never_fuses_downstream(enc_dir, downstream):
         lambda b: b, batch_size=100_000, batch_format="pyarrow", concurrency=downstream
     ).materialize()
     assert ds.count() == 4000
-    assert _decode_tasks(ds) == n_files
+    assert _stage_tasks(ds) == n_files
 
 
 def test_range_residual_is_its_own_operator(enc_dir):
     d, _, _ = enc_dir
     ds = decode.read_encoded_range(d, "n_tok", lo=10, hi=100, concurrency=2).materialize()
-    _decode_tasks(ds)
+    _stage_tasks(ds)
     assert re.search(r"Operator \d+ MapBatches\(residual\): ", ds.stats())
     assert all(10 <= v <= 100 for v in ds.to_pandas()["n_tok"])
 
@@ -146,3 +153,81 @@ def test_delete_key_set_built_once_per_process(enc_dir, tmp_path, monkeypatch):
     other = ray.put(keys[:1])
     assert encode._key_values(other, pa.string()).to_pylist() == keys[:1]
     assert len(gets) == 2
+
+
+def _first_key(d: str):
+    pid = mf.load_metadata(d)["partition_ids"][0]
+    return pid, decode.point_lookup(d, pid, columns=["doc_id"]).column("doc_id")[0].as_py()
+
+
+def test_encoder_stages_own_call_and_return_entry_json(enc_dir, tmp_path):
+    """Each encoder-family stage defines ``__call__`` in its own class: the
+    benchmark's per-layer pass wraps each class's ``__call__``, and an
+    inherited one would nest one class's span inside another's and stay
+    wrapped after the tracer restores it."""
+    d, paths, _ = enc_dir
+    pid, key = _first_key(d)
+    table = pq.read_table(paths[0])
+    salt_map = {s: 2 for s in table.column("source").to_pandas().fillna(eg.NULL_SOURCE_KEY)}
+    piece = str(tmp_path / "piece.parquet")
+    pq.write_table(eg._salts(table, salt_map), piece)
+    dd = shutil.copytree(d, str(tmp_path / "del"))
+    runs = [
+        (encode.PartitionEncoder, (str(tmp_path / "e"),), encode.plan_partitions(paths, 1)[:1]),
+        (encode.GroupCompactor, (d, str(tmp_path / "c")),
+         [{"new_pid": pk.pack(0, 0), "src_pids": mf.load_metadata(d)["partition_ids"][:2]}]),
+        (encode.PartitionDeleter, (dd, [key]), [{"pid": pid, "key_column": "doc_id"}]),
+        (eg.BucketEncoder, (str(tmp_path / "g"), salt_map), [{"paths": [piece]}]),
+    ]
+    for cls, args, items in runs:
+        assert "__call__" in vars(cls), cls
+        res = cls(*args)(pa.Table.from_pylist(items))
+        assert res.num_rows >= 1, cls
+        assert json.loads(res.column("entry_json")[0].as_py())["status"] == "done"
+
+
+def test_grouped_reduce_is_its_own_operator(enc_dir, tmp_path, monkeypatch):
+    """The grouped reduce runs through the rewrite core as its own
+    MapBatches(_run_stage) operator, one task per shuffle bucket."""
+    _, paths, _ = enc_dir
+    runs = []
+    real = encode.map_stage
+
+    def spy(items, stage, *args, **kwargs):
+        runs.append((stage, len(items), real(items, stage, *args, **kwargs)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(encode, "map_stage", spy)
+    out = str(tmp_path / "g")
+    eg.encode_job_grouped(paths, out, target_group_rows=200)
+    [(stage, n_buckets, ds)] = runs
+    assert stage is eg.BucketEncoder and n_buckets >= 2
+    assert _stage_tasks(ds) == n_buckets
+    assert mf.load_metadata(out)["num_rows"] == 4000
+
+
+@pytest.mark.parametrize("job", ["encode", "compact", "delete", "grouped"])
+def test_rerun_sweeps_publish_temps(enc_dir, tmp_path, job):
+    """A kill between a partition's tmp write and its rename leaves a
+    publish temp; every job's re-run removes it (the rewrite core's one
+    start-of-run sweep) and changes nothing else."""
+    d, paths, _ = enc_dir
+    out = str(tmp_path / job)
+    if job in ("encode", "delete"):
+        shutil.copytree(d, out)
+    _, key = _first_key(d)
+    run = {
+        "encode": lambda: encode.encode_job(paths, out, target_part_bytes=1),
+        "compact": lambda: encode.compact_job(d, out),
+        "delete": lambda: encode.delete_job(out, [key]),
+        "grouped": lambda: eg.encode_job_grouped(paths, out),
+    }[job]
+    run()
+    parts = sorted(glob.glob(os.path.join(out, "part-*.parquet")))
+    tmp = parts[0] + ".tmp-1-deadbeef"
+    with open(tmp, "wb") as f:
+        f.write(b"torn")
+    meta = run()
+    assert not os.path.exists(tmp)
+    assert sorted(glob.glob(os.path.join(out, "part-*.parquet"))) == parts
+    assert meta["num_rows"] == (3999 if job == "delete" else 4000)
