@@ -821,8 +821,10 @@ def quantile_filter(
     if cols is not None:
         ds = ds.select_columns(cols)
     cuts = grouped_quantiles(ds, group_col, value_col, ps=(p,)).to_pandas()
-    label = [c for c in cuts.columns if c != group_col][0]
-    cut_of = dict(zip(cuts[group_col], cuts[label].astype(np.int64)))
+    # (group, cutoff) rows; with no non-NULL value anywhere there are none
+    # (and to_pandas drops the columns too): an empty map keeps no rows,
+    # like the SQL twin's join against an empty cutoff table
+    cut_of = {g: int(c) for g, c in cuts.itertuples(index=False)}
 
     def keep(t: pa.Table) -> pa.Table:
         g = t.column(group_col).to_pandas().fillna("")

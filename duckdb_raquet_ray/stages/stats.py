@@ -1,14 +1,28 @@
-"""Distributed grouped statistics: partial Welford per batch + pairwise
-combine — the ST_RegionStats execution shape
-(/root/reference/src/st_region_stats.cpp:330-807): per-input update into a
-thread-local state (:531-541), parallel combine with the numerically-stable
-pairwise formula (:382-411), finalize (:413-448). Here: `map_batches`
-emits one partial row per (key, batch) — a pre-aggregation that shrinks the
-shuffle from O(rows) to O(keys x batches) — then a small
-`groupby(key).map_groups` merges partials and finalizes.
+"""Distributed grouped statistics in the ST_RegionStats execution shape
+(st_region_stats.cpp:330-807): per-input update into a partial state
+(:531-541), a combine (:382-411), a finalize (:413-448).
 
-stddev is the sample standard deviation (m2/(n-1)) like compute_band_stats
+Welford (`grouped_stats`): `map_batches` emits one partial row per
+(key, batch) — a pre-aggregation that shrinks the shuffle from O(rows) to
+O(keys x batches) — then a small `groupby(key).map_groups` merges partials
+with the numerically-stable pairwise formula and finalizes. stddev is the
+sample standard deviation (m2/(n-1)) like compute_band_stats
 (band_decoder.cpp:226-297), matching DuckDB's STDDEV_SAMP.
+
+Histogram-shaped statistics (value histograms, grouped top-k, bigrams,
+grouped quantiles, entropy, KL, median/MAD, top-k rows, distinct counts)
+share one bucketed-reduce core:
+
+  partial   per block, one row per distinct (group, value) pair present
+            plus a `_b` bucket = hash(group) % n_buckets, so every
+            partial of a group lands in one bucket (`_group_codes` codes
+            the group key once: NULL -> '', string keys only);
+  shuffle   `_bucketed`: map_batches(partial) -> groupby("_b") ->
+            map_groups(reduce), with the 0-row-bucket guard;
+  merge     `_group_runs`: the bucket's rows become (group asc, value asc)
+            unique pairs with exact int64 counts, one run per group;
+  finalize  per group: top-k cut, entropy, KL, percentile_disc,
+            percentile_cont, median/MAD.
 """
 
 from __future__ import annotations
@@ -112,6 +126,105 @@ def grouped_stats(ds: rd.Dataset, key: str, value: str) -> rd.Dataset:
 
 
 # ---------------------------------------------------------------------------
+# the bucketed-reduce core (module level: the package ships to workers by
+# value, so these must never be lazily imported inside a stage)
+# ---------------------------------------------------------------------------
+
+
+def _group_codes(
+    col: pa.Array | pa.ChunkedArray, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Code a group-key column -> (int64 code per row, object ndarray of
+    the distinct keys in first-appearance order).
+    NULL keys fold into '' like the SQL twins' coalesce(g, '').
+
+    String keys only: any other type is refused here with a named error,
+    instead of failing inside a worker in the key hash."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_null(col.type):  # an all-NULL column inferred as null
+        col = col.cast(pa.string())
+    if not (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)):
+        raise ValueError(
+            f"group column {name!r} has type {col.type}: grouped statistics "
+            "take string group keys only (NULL groups as ''); cast it first"
+        )
+    enc = pc.dictionary_encode(pc.fill_null(col, ""))
+    return (
+        enc.indices.to_numpy(zero_copy_only=False).astype(np.int64),
+        enc.dictionary.to_numpy(zero_copy_only=False),
+    )
+
+
+def _bucketed(ds: rd.Dataset, partials, reduce, empty: pa.Table) -> rd.Dataset:
+    """Shuffle the `partials` rows by their `_b` column and run `reduce`
+    once per bucket. A 0-row (or Ray's 0-column) group yields `empty`,
+    so `reduce` always sees rows."""
+
+    def run(g: pa.Table) -> pa.Table:
+        if g.num_columns == 0 or g.num_rows == 0:
+            return empty
+        return reduce(g)
+
+    return (
+        ds.map_batches(partials, batch_format="pyarrow")
+        .groupby("_b")
+        .map_groups(run, batch_format="pyarrow")
+    )
+
+
+def _pair_partial(
+    group_col: str, value_name: str, groups: np.ndarray,
+    codes: np.ndarray, values: np.ndarray, cnt: np.ndarray, nb: int,
+) -> pa.Table:
+    """(group, value, cnt, _b) partial rows from coded pairs; bucket =
+    string_hash64(group) % nb, hashed once per distinct group."""
+    if len(values) == 0:
+        return pa.table(
+            {
+                group_col: pa.array([], pa.string()),
+                value_name: pa.array([], pa.int64()),
+                "cnt": pa.array([], pa.int64()),
+                "_b": pa.array([], pa.int32()),
+            }
+        )
+    bucket = (detmix.string_hash64(groups) % np.uint64(nb)).astype(np.int32)
+    return pa.table(
+        {
+            group_col: pa.array(groups[codes], pa.string()),
+            value_name: pa.array(values.astype(np.int64)),
+            "cnt": pa.array(cnt.astype(np.int64)),
+            "_b": pa.array(bucket[codes]),
+        }
+    )
+
+
+def _group_runs(
+    g: pa.Table, group_col: str, value_col: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merge one bucket's (group, value, cnt) rows -> (groups, values,
+    cnts, starts): unique pairs in (group asc, value asc) order with
+    exact int64 summed counts, `groups` one key per group run and
+    `starts` each run's first pair. The sorted pair order is what keeps
+    the finalizers' float folds (entropy, KL) bit-stable."""
+    codes, uniq = _group_codes(g.column(group_col), group_col)
+    srt = np.argsort(uniq, kind="stable")
+    rank = np.empty(len(uniq), np.int64)
+    rank[srt] = np.arange(len(uniq))
+    gr = rank[codes]
+    v = g.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
+    c = g.column("cnt").to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.lexsort((v, gr))
+    gr, v, c = gr[order], v[order], c[order]
+    new = np.ones(len(v), bool)
+    np.logical_or(gr[1:] != gr[:-1], v[1:] != v[:-1], out=new[1:])
+    pairs = np.flatnonzero(new)
+    gp = gr[pairs]
+    starts = np.flatnonzero(np.r_[True, gp[1:] != gp[:-1]])
+    return uniq[srt], v[pairs], np.add.reduceat(c, pairs), starts
+
+
+# ---------------------------------------------------------------------------
 # dense-domain histograms (vocabulary frequency, sequence-length quantiles)
 # ---------------------------------------------------------------------------
 
@@ -158,11 +271,12 @@ def value_histogram(
     """Exact global frequency of every value of a dense int column (or a
     list column's elements with ``flatten=True``): in-block bincount
     partials -> coarse-bucket shuffle -> vectorized in-bucket sum."""
-    parts = ds.map_batches(
-        lambda t: _hist_partials(t, column, domain, flatten),
-        batch_format="pyarrow",
+    empty = pa.table(
+        {"value": pa.array([], pa.int64()), "cnt": pa.array([], pa.int64())}
     )
-    return parts.groupby("_b").map_groups(_hist_reduce, batch_format="pyarrow")
+    return _bucketed(
+        ds, lambda t: _hist_partials(t, column, domain, flatten), _hist_reduce, empty
+    )
 
 
 def vocab_topk(
@@ -223,8 +337,6 @@ def grouped_topk(
     bucketed by hash(group) so EVERY partial of a group lands in one
     bucket — the in-bucket reduce can therefore apply the per-group
     top-k cap exactly, and only O(groups x k) rows leave the shuffle."""
-    import pyarrow.compute as pc
-
     nb = n_buckets or util.scaled_buckets(ds)
     empty = pa.table(
         {
@@ -234,72 +346,26 @@ def grouped_topk(
         }
     )
 
-    def partials(t: pa.Table) -> pa.Table:
-        col = t.column(tokens_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        # fill_null(0): a NULL list row has no elements (flatten drops it,
-        # SQL unnest emits no rows) — without the fill, to_numpy goes
-        # float64/NaN and np.repeat(codes, lens) raises
-        lens = (
-            pc.fill_null(pc.list_value_length(col), 0)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(flat) and (flat.min() < 0 or flat.max() >= vocab_size):
-            # dense pair-id must never wrap (see _grouped_token_count_partials)
-            raise ValueError(
-                f"{tokens_col} outside [0, {vocab_size}): range "
-                f"[{flat.min()}, {flat.max()}] — raise vocab_size"
-            )
-        if len(flat) == 0:
-            return empty.append_column("_b", pa.array([], pa.int32()))
-        gser = t.column(group_col).to_pandas().fillna("")
-        codes, uniq = pd.factorize(gser, sort=False)
-        rep = np.repeat(codes.astype(np.int64), lens)
-        pair = rep * vocab_size + flat  # dense (group, token) id
-        u, c = np.unique(pair, return_counts=True)
-        gid, tok = u // vocab_size, u % vocab_size
-        groups = uniq.to_numpy(dtype=object)[gid]
-        bucket = (
-            detmix.string_hash64(groups) % np.uint64(nb)
-        ).astype(np.int32)
-        return pa.table(
-            {
-                group_col: pa.array(groups, pa.string()),
-                "token": pa.array(tok),
-                "cnt": pa.array(c.astype(np.int64)),
-                "_b": pa.array(bucket),
-            }
-        )
-
     def reduce_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty
-        df = g.select([group_col, "token", "cnt"]).to_pandas()
-        s = (
-            df.groupby([group_col, "token"], sort=False)["cnt"]
-            .sum()
-            .reset_index()
-            .sort_values(
-                [group_col, "cnt", "token"], ascending=[True, False, True]
-            )
-        )
-        out = s.groupby(group_col, sort=False).head(k)
+        groups, tok, cnt, starts = _group_runs(g, group_col, "token")
+        run = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(tok)]))
+        # group asc, cnt desc, token asc: each run keeps its index range,
+        # so a pair's rank inside its group is its offset from the start
+        order = np.lexsort((tok, -cnt, run))
+        keep = order[np.arange(len(order)) - starts[run] < k]
         return pa.table(
             {
-                group_col: pa.array(out[group_col].to_numpy(dtype=object), pa.string()),
-                "token": pa.array(out["token"].to_numpy(np.int64)),
-                "cnt": pa.array(out["cnt"].to_numpy(np.int64)),
+                group_col: pa.array(groups[run[keep]], pa.string()),
+                "token": pa.array(tok[keep]),
+                "cnt": pa.array(cnt[keep]),
             }
         )
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .map_batches(lambda t: empty if t.num_columns == 0 else t, batch_format="pyarrow")
+    return _bucketed(
+        ds,
+        lambda t: _grouped_token_count_partials(t, group_col, tokens_col, vocab_size, nb),
+        reduce_bucket,
+        empty,
     )
 
 
@@ -371,7 +437,30 @@ def bigram_topk(
     Driver state stays O(buckets x k) regardless."""
     global LAST_BIGRAM_DRIVER_ROWS
     nb = n_buckets or util.scaled_buckets(ds)
+    hs, cs = [], []
+    for b in _bigram_buckets(ds, tokens_col, k, nb).iter_batches(
+        batch_format="numpy"
+    ):
+        if "key" not in b:  # empty groupby partitions emit 0-col blocks
+            continue
+        hs.append(np.asarray(b["key"], dtype=np.int64))
+        cs.append(np.asarray(b["cnt"], dtype=np.int64))
+    if not hs:
+        LAST_BIGRAM_DRIVER_ROWS = 0
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    allk, allc = np.concatenate(hs), np.concatenate(cs)
+    LAST_BIGRAM_DRIVER_ROWS = len(allk)
+    if len(allk) > k:
+        order = np.lexsort((allk, -allc))[:k]
+        keep = np.sort(order)
+        allk, allc = allk[keep], allc[keep]
+    order = np.argsort(allk)  # buckets are key-disjoint: no re-merge
+    return allk[order], allc[order]
 
+
+def _bigram_buckets(ds: rd.Dataset, tokens_col: str, k: int, nb: int) -> rd.Dataset:
+    """The bucketed half of bigram_topk: (key, cnt) rows, each bucket's
+    keys with their exact global counts, capped to its top `k`."""
     empty = pa.table(
         {"key": pa.array([], pa.int64()), "cnt": pa.array([], pa.int64())}
     )
@@ -393,8 +482,6 @@ def bigram_topk(
         )
 
     def in_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty
         h = g.column("key").to_numpy(zero_copy_only=False).astype(np.int64)
         c = g.column("cnt").to_numpy(zero_copy_only=False).astype(np.int64)
         u, inv = np.unique(h, return_inverse=True)
@@ -406,28 +493,7 @@ def bigram_topk(
             u, cnt = u[keep], cnt[keep]
         return pa.table({"key": pa.array(u), "cnt": pa.array(cnt)})
 
-    hs, cs = [], []
-    for b in (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(in_bucket, batch_format="pyarrow")
-        .iter_batches(batch_format="numpy")
-    ):
-        if "key" not in b:  # empty groupby partitions emit 0-col blocks
-            continue
-        hs.append(np.asarray(b["key"], dtype=np.int64))
-        cs.append(np.asarray(b["cnt"], dtype=np.int64))
-    if not hs:
-        LAST_BIGRAM_DRIVER_ROWS = 0
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    allk, allc = np.concatenate(hs), np.concatenate(cs)
-    LAST_BIGRAM_DRIVER_ROWS = len(allk)
-    if len(allk) > k:
-        order = np.lexsort((allk, -allc))[:k]
-        keep = np.sort(order)
-        allk, allc = allk[keep], allc[keep]
-    order = np.argsort(allk)  # buckets are key-disjoint: no re-merge
-    return allk[order], allc[order]
+    return _bucketed(ds, partials, in_bucket, empty)
 
 
 class _BigramLmProbe:
@@ -723,14 +789,12 @@ def grouped_corr(
     blocks can wrap the folded int64 sums without any single block
     tripping the block check). NULL pairs are excluded (SQL corr
     semantics); groups with < 2 rows or zero variance emit NULL."""
-    import pyarrow.compute as pc
 
     def partials(t: pa.Table) -> pa.Table:
-        gser = t.column(group_col).to_pandas().fillna("")
+        codes, uniq = _group_codes(t.column(group_col), group_col)
         x = pc.cast(t.column(x_col), pa.float64()).to_numpy(zero_copy_only=False)
         y = pc.cast(t.column(y_col), pa.float64()).to_numpy(zero_copy_only=False)
         ok = ~(np.isnan(x) | np.isnan(y))
-        codes, uniq = pd.factorize(gser, sort=False)
         k = len(uniq)
         empty = pa.table(
             {
@@ -758,7 +822,7 @@ def grouped_corr(
                 "grouped_corr: quantized power sums would exceed int64 — "
                 "lower x_scale/y_scale or pre-shift the columns"
             )
-        out = {group_col: pa.array(uniq.to_numpy(dtype=object), pa.string())}
+        out = {group_col: pa.array(uniq, pa.string())}
         out["n"] = pa.array(np.bincount(c, minlength=k).astype(np.int64))
         for name, w in (
             ("sx", xi), ("sy", yi), ("sxx", xi * xi), ("syy", yi * yi),
@@ -1230,6 +1294,11 @@ def _collect_ranges(
     ]
 
 
+def _pct_label(prefix: str, p: float) -> str:
+    """Quantile column label: p50, p99.9 (percentile_disc), q50 (cont)."""
+    return f"{prefix}{round(p * 100) if (p * 100) == int(p * 100) else p * 100:g}"
+
+
 def float_quantiles(
     ds: rd.Dataset,
     column: str,
@@ -1261,7 +1330,7 @@ def float_quantiles(
             n_tot += int(np.sum(blk["n"]))
             mn = min(mn, float(np.min(blk["mn"])))
             mx = max(mx, float(np.max(blk["mx"])))
-    labels = [f"p{round(p * 100) if (p * 100) == int(p * 100) else p * 100:g}" for p in ps]
+    labels = [_pct_label("p", p) for p in ps]
     if n_tot == 0:
         return pd.DataFrame([{lab: float("nan") for lab in labels}])
     # state per quantile: (lo, hi, hi_incl, rank-within-range)
@@ -1336,7 +1405,7 @@ def float_quantiles_oracle_sql(
     """DuckDB twin of `float_quantiles` (percentile_disc semantics)."""
     cols = ", ".join(
         f"percentile_disc({p}) WITHIN GROUP (ORDER BY {column})::DOUBLE AS "
-        + (f"p{round(p * 100) if (p * 100) == int(p * 100) else p * 100:g}")
+        + _pct_label("p", p)
         for p in ps
     )
     return f"SELECT {cols} FROM {table} WHERE {column} IS NOT NULL"
@@ -1345,6 +1414,87 @@ def float_quantiles_oracle_sql(
 # ---------------------------------------------------------------------------
 # per-group exact quantiles (percentile_disc per group, shuffle-bounded)
 # ---------------------------------------------------------------------------
+
+
+def _grouped_value_hist_partials(
+    t: pa.Table, group_col: str, value_col: str, nb: int,
+    max_value: int | None = None,
+) -> pa.Table:
+    """Per-block (group, value, cnt, _b) histogram partials over a SCALAR
+    integer column — the scalar twin of _grouped_token_count_partials,
+    shared by grouped_quantiles, grouped_quantiles_cont and
+    grouped_mad_outliers: one row per distinct (group, value) pair in the
+    block (payload O(groups-in-block x distinct values), never O(rows)).
+    NULL values are dropped (percentile / median semantics); NULL groups
+    fold into ''. With `max_value`, values outside [0, max_value) raise
+    loudly (grouped_mad_outliers' input contract)."""
+    vals = t.column(value_col).to_numpy(zero_copy_only=False)
+    ok = ~pd.isna(vals)
+    v = vals[ok].astype(np.int64)
+    codes, uniq = _group_codes(t.column(group_col).filter(pa.array(ok)), group_col)
+    if len(v) and max_value is not None and (v.min() < 0 or v.max() >= max_value):
+        raise ValueError(
+            f"{value_col} outside [0, {max_value}): "
+            f"range [{v.min()}, {v.max()}] — raise max_value"
+        )
+    order = np.lexsort((v, codes))
+    cs, vs = codes[order], v[order]
+    new = np.ones(len(vs), bool)
+    np.logical_or(cs[1:] != cs[:-1], vs[1:] != vs[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    cnt = np.diff(np.r_[starts, len(vs)])
+    return _pair_partial(group_col, "value", uniq, cs[starts], vs[starts], cnt, nb)
+
+
+def _disc_at(values: np.ndarray, cum: np.ndarray, n: int, p: float) -> int:
+    """percentile_disc: the value whose 1-indexed rank is ceil(p * n)."""
+    return int(values[np.searchsorted(cum, max(int(np.ceil(p * n)), 1))])
+
+
+def _cont_at(values: np.ndarray, cum: np.ndarray, n: int, p: float) -> float:
+    """percentile_cont: h = p*(n-1), v[floor h] + frac(h) * (v[floor h + 1]
+    - v[floor h]) over the 0-indexed order statistics."""
+    h = p * (n - 1)
+    lo_i = int(np.floor(h))
+    hi_i = min(lo_i + 1, n - 1)
+    v_lo = float(values[np.searchsorted(cum, lo_i + 1)])
+    v_hi = float(values[np.searchsorted(cum, hi_i + 1)])
+    return v_lo + (h - np.floor(h)) * (v_hi - v_lo)
+
+
+def _grouped_hist_quantiles(
+    ds: rd.Dataset, group_col: str, value_col: str, ps: tuple[float, ...],
+    n_buckets: int | None, prefix: str, at, typ: pa.DataType,
+) -> rd.Dataset:
+    """grouped_quantiles / grouped_quantiles_cont: the scalar partials, one
+    bucketed run merge, then `at(values, cum, n, p)` per group and p over
+    the group's value-sorted histogram."""
+    nb = n_buckets or util.scaled_buckets(ds)
+    labels = [_pct_label(prefix, p) for p in ps]
+    empty = pa.table(
+        {group_col: pa.array([], pa.string()), **{lab: pa.array([], typ) for lab in labels}}
+    )
+
+    def reduce_bucket(g: pa.Table) -> pa.Table:
+        groups, vals, cnt, starts = _group_runs(g, group_col, "value")
+        cols: list[list] = [[] for _ in ps]
+        for a, b in zip(starts, np.r_[starts[1:], len(vals)]):
+            cum = np.cumsum(cnt[a:b])
+            for col, p in zip(cols, ps):
+                col.append(at(vals[a:b], cum, int(cum[-1]), p))
+        return pa.table(
+            {
+                group_col: pa.array(groups, pa.string()),
+                **{lab: pa.array(col, typ) for lab, col in zip(labels, cols)},
+            }
+        )
+
+    return _bucketed(
+        ds,
+        lambda t: _grouped_value_hist_partials(t, group_col, value_col, nb),
+        reduce_bucket,
+        empty,
+    )
 
 
 def grouped_quantiles(
@@ -1364,86 +1514,13 @@ def grouped_quantiles(
     bucketed by hash(group) so a group's whole value histogram lands in
     ONE bucket, where the cumulative rank scan resolves every quantile
     exactly. Only O(groups x len(ps)) rows leave the reduce. NULL values
-    are excluded (percentile_disc semantics); NULL group keys form their
-    own group (SQL GROUP BY). Suited to int domains whose distinct-value
-    count is bounded (lengths, years, counts); arbitrary float columns
-    at corpus scale take the float_quantiles refinement path instead."""
-    nb = n_buckets or util.scaled_buckets(ds)
-    labels = [
-        f"p{round(p * 100) if (p * 100) == int(p * 100) else p * 100:g}"
-        for p in ps
-    ]
-    empty_cols = {group_col: pa.array([], pa.string())}
-    for lab in labels:
-        empty_cols[lab] = pa.array([], pa.int64())
-    empty = pa.table(empty_cols)
-
-    def partials(t: pa.Table) -> pa.Table:
-        vals = t.column(value_col).to_numpy(zero_copy_only=False)
-        ok = ~pd.isna(vals)
-        gser = t.column(group_col).to_pandas().fillna("")[ok]
-        v = vals[ok].astype(np.int64)
-        if len(v) == 0:
-            return pa.table(
-                {
-                    group_col: pa.array([], pa.string()),
-                    "v": pa.array([], pa.int64()),
-                    "cnt": pa.array([], pa.int64()),
-                    "_b": pa.array([], pa.int32()),
-                }
-            )
-        codes, uniq = pd.factorize(gser, sort=False)
-        order = np.lexsort((v, codes))
-        cs, vs = codes[order], v[order]
-        new = np.empty(len(vs), bool)
-        new[0] = True
-        np.logical_or(cs[1:] != cs[:-1], vs[1:] != vs[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        cnt = np.diff(np.r_[starts, len(vs)]).astype(np.int64)
-        groups = uniq.to_numpy(dtype=object)[cs[starts]]
-        bucket = (detmix.string_hash64(groups) % np.uint64(nb)).astype(np.int32)
-        return pa.table(
-            {
-                group_col: pa.array(groups, pa.string()),
-                "v": pa.array(vs[starts]),
-                "cnt": pa.array(cnt),
-                "_b": pa.array(bucket),
-            }
-        )
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty
-        df = (
-            g.select([group_col, "v", "cnt"])
-            .to_pandas()
-            .groupby([group_col, "v"], sort=True)["cnt"]
-            .sum()
-            .reset_index()
-        )
-        rows: dict[str, list] = {group_col: []}
-        for lab in labels:
-            rows[lab] = []
-        for s, gd in df.groupby(group_col, sort=True):
-            values = gd["v"].to_numpy(np.int64)  # sorted by the groupby
-            cum = np.cumsum(gd["cnt"].to_numpy(np.int64))
-            n = int(cum[-1])
-            rows[group_col].append(s)
-            for p, lab in zip(ps, labels):
-                rank = max(int(np.ceil(p * n)), 1)
-                rows[lab].append(int(values[np.searchsorted(cum, rank)]))
-        out = {group_col: pa.array(rows[group_col], pa.string())}
-        for lab in labels:
-            out[lab] = pa.array(rows[lab], pa.int64())
-        return pa.table(out)
-
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .map_batches(
-            lambda t: empty if t.num_columns == 0 else t, batch_format="pyarrow"
-        )
+    are excluded (percentile_disc semantics); NULL group keys fold into
+    '' (the SQL twin's coalesce). Suited to int domains whose
+    distinct-value count is bounded (lengths, years, counts); arbitrary
+    float columns at corpus scale take the float_quantiles refinement
+    path instead."""
+    return _grouped_hist_quantiles(
+        ds, group_col, value_col, ps, n_buckets, "p", _disc_at, pa.int64()
     )
 
 
@@ -1463,86 +1540,8 @@ def grouped_quantiles_cont(
     uses DuckDB's percentile_cont builtin, whose internal op order may
     differ in the last ulp — parity holds at the driver's %.9g hash
     tolerance (the token_entropy / Welford precedent)."""
-    nb = n_buckets or util.scaled_buckets(ds)
-    labels = [
-        f"q{round(p * 100) if (p * 100) == int(p * 100) else p * 100:g}"
-        for p in ps
-    ]
-    empty_cols: dict = {group_col: pa.array([], pa.string())}
-    for lab in labels:
-        empty_cols[lab] = pa.array([], pa.float64())
-    empty = pa.table(empty_cols)
-
-    def partials(t: pa.Table) -> pa.Table:
-        vals = t.column(value_col).to_numpy(zero_copy_only=False)
-        ok = ~pd.isna(vals)
-        gser = t.column(group_col).to_pandas().fillna("")[ok]
-        v = vals[ok].astype(np.int64)
-        if len(v) == 0:
-            return pa.table(
-                {
-                    group_col: pa.array([], pa.string()),
-                    "v": pa.array([], pa.int64()),
-                    "cnt": pa.array([], pa.int64()),
-                    "_b": pa.array([], pa.int32()),
-                }
-            )
-        codes, uniq = pd.factorize(gser, sort=False)
-        order = np.lexsort((v, codes))
-        cs, vs = codes[order], v[order]
-        new = np.empty(len(vs), bool)
-        new[0] = True
-        np.logical_or(cs[1:] != cs[:-1], vs[1:] != vs[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        cnt = np.diff(np.r_[starts, len(vs)]).astype(np.int64)
-        groups = uniq.to_numpy(dtype=object)[cs[starts]]
-        bucket = (detmix.string_hash64(groups) % np.uint64(nb)).astype(np.int32)
-        return pa.table(
-            {
-                group_col: pa.array(groups, pa.string()),
-                "v": pa.array(vs[starts]),
-                "cnt": pa.array(cnt),
-                "_b": pa.array(bucket),
-            }
-        )
-
-    def reduce_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty
-        df = (
-            g.select([group_col, "v", "cnt"])
-            .to_pandas()
-            .groupby([group_col, "v"], sort=True)["cnt"]
-            .sum()
-            .reset_index()
-        )
-        rows: dict[str, list] = {group_col: []}
-        for lab in labels:
-            rows[lab] = []
-        for s, gd in df.groupby(group_col, sort=True):
-            values = gd["v"].to_numpy(np.int64)  # sorted by the groupby
-            cum = np.cumsum(gd["cnt"].to_numpy(np.int64))
-            n = int(cum[-1])
-            rows[group_col].append(s)
-            for p, lab in zip(ps, labels):
-                h = p * (n - 1)
-                lo_i = int(np.floor(h))
-                hi_i = min(lo_i + 1, n - 1)
-                v_lo = float(values[np.searchsorted(cum, lo_i + 1)])
-                v_hi = float(values[np.searchsorted(cum, hi_i + 1)])
-                rows[lab].append(v_lo + (h - np.floor(h)) * (v_hi - v_lo))
-        out = {group_col: pa.array(rows[group_col], pa.string())}
-        for lab in labels:
-            out[lab] = pa.array(rows[lab], pa.float64())
-        return pa.table(out)
-
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .map_batches(
-            lambda t: empty if t.num_columns == 0 else t, batch_format="pyarrow"
-        )
+    return _grouped_hist_quantiles(
+        ds, group_col, value_col, ps, n_buckets, "q", _cont_at, pa.float64()
     )
 
 
@@ -1556,7 +1555,7 @@ def grouped_quantiles_cont_oracle_sql(
     percentile_cont; %.9g-tolerance parity, see the engine docstring)."""
     cols = ", ".join(
         f"percentile_cont({p}) WITHIN GROUP (ORDER BY {value_col})::DOUBLE AS "
-        + (f"q{round(p * 100) if (p * 100) == int(p * 100) else p * 100:g}")
+        + _pct_label("q", p)
         for p in ps
     )
     return (
@@ -1575,7 +1574,7 @@ def grouped_quantiles_oracle_sql(
     """DuckDB twin of :func:`grouped_quantiles`."""
     cols = ", ".join(
         f"percentile_disc({p}) WITHIN GROUP (ORDER BY {value_col})::BIGINT AS "
-        + (f"p{round(p * 100) if (p * 100) == int(p * 100) else p * 100:g}")
+        + _pct_label("p", p)
         for p in ps
     )
     return (
@@ -1632,7 +1631,7 @@ def _grouped_token_count_partials(
     """Per-block (group, token, cnt, _b) rows via one dense group*vocab
     pair-id unique — payload O(groups-in-block x vocab), never O(block
     tokens); bucket = hash(group) so a group's whole distribution lands
-    in one bucket. Shared by grouped entropy / KL divergence."""
+    in one bucket. Shared by grouped top-k / entropy / KL divergence."""
     col = t.column(tokens_col)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -1652,30 +1651,11 @@ def _grouped_token_count_partials(
             f"{tokens_col} outside [0, {vocab_size}): range "
             f"[{flat.min()}, {flat.max()}] — raise vocab_size"
         )
-    if len(flat) == 0:
-        return pa.table(
-            {
-                group_col: pa.array([], pa.string()),
-                "token": pa.array([], pa.int64()),
-                "cnt": pa.array([], pa.int64()),
-                "_b": pa.array([], pa.int32()),
-            }
-        )
-    gser = t.column(group_col).to_pandas().fillna("")
-    codes, uniq = pd.factorize(gser, sort=False)
-    rep = np.repeat(codes.astype(np.int64), lens)
-    pair = rep * vocab_size + flat
+    codes, uniq = _group_codes(t.column(group_col), group_col)
+    pair = np.repeat(codes, lens) * vocab_size + flat
     u, c = np.unique(pair, return_counts=True)
-    gid, tok = u // vocab_size, u % vocab_size
-    groups = uniq.to_numpy(dtype=object)[gid]
-    bucket = (detmix.string_hash64(groups) % np.uint64(nb)).astype(np.int32)
-    return pa.table(
-        {
-            group_col: pa.array(groups, pa.string()),
-            "token": pa.array(tok),
-            "cnt": pa.array(c.astype(np.int64)),
-            "_b": pa.array(bucket),
-        }
+    return _pair_partial(
+        group_col, "token", uniq, u // vocab_size, u % vocab_size, c, nb
     )
 
 
@@ -1708,35 +1688,22 @@ def grouped_token_entropy(
         return _grouped_token_count_partials(t, group_col, tokens_col, vocab_size, nb)
 
     def reduce_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty
-        df = g.select([group_col, "token", "cnt"]).to_pandas()
-        s = (
-            df.groupby([group_col, "token"], sort=True)["cnt"]
-            .sum()
-            .reset_index()
-        )
-        grp = s[group_col].to_numpy(dtype=object)
-        cnt = s["cnt"].to_numpy(np.float64)
-        starts = np.flatnonzero(np.r_[True, grp[1:] != grp[:-1]])
+        groups, _, icnt, starts = _group_runs(g, group_col, "token")
+        cnt = icnt.astype(np.float64)
         n = np.add.reduceat(cnt, starts)
         clogc = np.add.reduceat(cnt * np.log2(cnt), starts)
         sizes = np.diff(np.r_[starts, len(cnt)])
         h = np.log2(n) - clogc / n
         return pa.table(
             {
-                group_col: pa.array(grp[starts], pa.string()),
+                group_col: pa.array(groups, pa.string()),
                 "n_tokens": pa.array(n.astype(np.int64)),
                 "n_distinct": pa.array(sizes.astype(np.int64)),
                 "entropy_bits": pa.array(h, pa.float64()),
             }
         )
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-    )
+    return _bucketed(ds, partials, reduce_bucket, empty)
 
 
 def grouped_entropy_oracle_sql(
@@ -1806,31 +1773,21 @@ def grouped_kl_divergence(
         return _grouped_token_count_partials(t, group_col, tokens_col, vocab_size, nb)
 
     def reduce_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty
         logc = ray.get(log_corpus_ref)
-        df = g.select([group_col, "token", "cnt"]).to_pandas()
-        s = df.groupby([group_col, "token"], sort=True)["cnt"].sum().reset_index()
-        grp = s[group_col].to_numpy(dtype=object)
-        tok = s["token"].to_numpy(np.int64)
-        cnt = s["cnt"].to_numpy(np.float64)
-        starts = np.flatnonzero(np.r_[True, grp[1:] != grp[:-1]])
+        groups, tok, icnt, starts = _group_runs(g, group_col, "token")
+        cnt = icnt.astype(np.float64)
         n = np.add.reduceat(cnt, starts)
         contrib = np.add.reduceat(cnt * (np.log2(cnt) - logc[tok]), starts)
         kl = log_nc - np.log2(n) + contrib / n
         return pa.table(
             {
-                group_col: pa.array(grp[starts], pa.string()),
+                group_col: pa.array(groups, pa.string()),
                 "n_tokens": pa.array(n.astype(np.int64)),
                 "kl_bits": pa.array(kl, pa.float64()),
             }
         )
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-    )
+    return _bucketed(ds, partials, reduce_bucket, empty)
 
 
 def grouped_kl_oracle_sql(
@@ -1860,55 +1817,6 @@ GROUP BY {group_col}"""
 # ---------------------------------------------------------------------------
 
 
-def _grouped_value_hist_partials(
-    t: pa.Table, group_col: str, value_col: str, max_value: int, nb: int
-) -> pa.Table:
-    """Per-block (group, value, cnt, _b) dense-histogram partials over a
-    SCALAR integer column (the scalar twin of
-    _grouped_token_count_partials): payload O(groups-in-block x distinct
-    values), never O(rows). Null values are dropped (SQL median
-    semantics); null groups fold into ''. Values outside [0, max_value)
-    raise loudly — the dense pair-id encoding must never wrap."""
-    t = util.strip_schema_metadata(t)
-    empty = pa.table(
-        {
-            group_col: pa.array([], pa.string()),
-            "value": pa.array([], pa.int64()),
-            "cnt": pa.array([], pa.int64()),
-            "_b": pa.array([], pa.int32()),
-        }
-    )
-    if t.num_rows == 0:
-        return empty
-    col = t.column(value_col)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    valid = ~np.asarray(col.is_null())
-    if not valid.any():
-        return empty
-    x = col.to_numpy(zero_copy_only=False)[valid].astype(np.int64)
-    if x.min() < 0 or x.max() >= max_value:
-        raise ValueError(
-            f"{value_col} outside [0, {max_value}): "
-            f"range [{x.min()}, {x.max()}] — raise max_value"
-        )
-    gser = t.column(group_col).to_pandas().fillna("")[valid]
-    codes, uniq = pd.factorize(gser, sort=False)
-    pair = codes.astype(np.int64) * max_value + x
-    u, c = np.unique(pair, return_counts=True)
-    gid, val = u // max_value, u % max_value
-    groups = uniq.to_numpy(dtype=object)[gid]
-    bucket = (detmix.string_hash64(groups) % np.uint64(nb)).astype(np.int32)
-    return pa.table(
-        {
-            group_col: pa.array(groups, pa.string()),
-            "value": pa.array(val),
-            "cnt": pa.array(c.astype(np.int64)),
-            "_b": pa.array(bucket),
-        }
-    )
-
-
 def _median2_from_hist(v: np.ndarray, c: np.ndarray) -> int:
     """2x the continuous median (percentile_cont 0.5 — DuckDB median())
     of the multiset {v repeated c}, from a VALUE-SORTED histogram: the
@@ -1935,9 +1843,10 @@ def grouped_mad_outliers(
     and n_outliers = rows with |x - median| > k * MAD, tested in pure
     integer arithmetic as 2*|2x - med2| > k*mad4. A group whose MAD is 0
     (constant-length boilerplate) flags every deviating row — the
-    desired behavior for that degenerate case.
+    desired behavior for that degenerate case. Values must lie in
+    [0, max_value); any other value raises.
 
-    Scale shape: one dense-histogram partial per block (payload
+    Scale shape: one histogram partial per block (payload
     O(groups x distinct values), independent of rows), one hash(group)
     bucket shuffle; each group's full histogram lands in one bucket
     where median, MAD and the outlier count all resolve exactly from
@@ -1958,25 +1867,12 @@ def grouped_mad_outliers(
     )
 
     def partials(t: pa.Table) -> pa.Table:
-        return _grouped_value_hist_partials(t, group_col, value_col, max_value, nb)
+        return _grouped_value_hist_partials(t, group_col, value_col, nb, max_value)
 
     def reduce_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty
-        s = (
-            g.select([group_col, "value", "cnt"])
-            .to_pandas()
-            .groupby([group_col, "value"], sort=True)["cnt"]
-            .sum()
-            .reset_index()
-        )
-        grp = s[group_col].to_numpy(dtype=object)
-        val = s["value"].to_numpy(np.int64)
-        cnt = s["cnt"].to_numpy(np.int64)
-        starts = np.flatnonzero(np.r_[True, grp[1:] != grp[:-1]])
-        ends = np.r_[starts[1:], len(grp)]
-        out_g, out_med2, out_mad4, out_n, out_out = [], [], [], [], []
-        for a, b in zip(starts, ends):
+        groups, val, cnt, starts = _group_runs(g, group_col, "value")
+        out_med2, out_mad4, out_n, out_out = [], [], [], []
+        for a, b in zip(starts, np.r_[starts[1:], len(val)]):
             v, c = val[a:b], cnt[a:b]  # value-sorted within the group
             med2 = _median2_from_hist(v, c)
             dev2 = np.abs(2 * v - med2)
@@ -1986,14 +1882,13 @@ def grouped_mad_outliers(
             dcu = np.zeros(len(du), np.int64)
             np.add.at(dcu, inv, c)  # exact int64 fold
             mad4 = _median2_from_hist(du, dcu)
-            out_g.append(grp[a])
             out_med2.append(med2)
             out_mad4.append(mad4)
             out_n.append(int(c.sum()))
             out_out.append(int(c[2 * dev2 > kk * mad4].sum()))
         return pa.table(
             {
-                group_col: pa.array(out_g, pa.string()),
+                group_col: pa.array(groups, pa.string()),
                 "med2": pa.array(out_med2, pa.int64()),
                 "mad4": pa.array(out_mad4, pa.int64()),
                 "n_rows": pa.array(out_n, pa.int64()),
@@ -2001,11 +1896,7 @@ def grouped_mad_outliers(
             }
         )
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-    )
+    return _bucketed(ds, partials, reduce_bucket, empty)
 
 
 def grouped_mad_oracle_sql(
@@ -2083,12 +1974,12 @@ def grouped_topk_rows(
 
     def partials(t: pa.Table) -> pa.Table:
         t = util.strip_schema_metadata(t).select(keep_cols)
-        g = t.column(group_col).to_pandas().fillna("")
+        codes, groups = _group_codes(t.column(group_col), group_col)
         v = t.column(order_col)
         valid = ~np.asarray(v.combine_chunks().is_null()) if v.null_count else None
         df = pd.DataFrame(
             {
-                "_g": g.to_numpy(dtype=object),
+                "_g": groups[codes],
                 "_v": v.to_pandas(),
                 key_col: t.column(key_col).to_pandas(),
             }
@@ -2119,8 +2010,6 @@ def grouped_topk_rows(
     )
 
     def in_bucket(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or t.num_rows == 0:
-            return empty
         df = pd.DataFrame(
             {
                 "_g": t.column(group_col).to_pandas().to_numpy(dtype=object),
@@ -2139,11 +2028,7 @@ def grouped_topk_rows(
             }
         )
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(in_bucket, batch_format="pyarrow")
-    )
+    return _bucketed(ds, partials, in_bucket, empty)
 
 
 def grouped_topk_rows_oracle_sql(
@@ -2215,8 +2100,8 @@ def grouped_count_distinct(
     nb = n_buckets or util.scaled_buckets(ds)
 
     def pairs(t: pa.Table) -> pa.Table:
-        t = util.strip_schema_metadata(t)
-        g = t.column(group_col).to_pandas().fillna("").to_numpy(dtype=object)
+        codes, groups = _group_codes(t.column(group_col), group_col)
+        g = groups[codes]
         v = t.column(value_col)
         if isinstance(v, pa.ChunkedArray):
             v = v.combine_chunks()
@@ -2256,8 +2141,6 @@ def grouped_count_distinct(
     def in_bucket(t: pa.Table) -> pa.Table:
         # a (group, value) pair's hash lands in exactly one bucket, so the
         # in-bucket distinct count per group is a disjoint global partial
-        if t.num_columns == 0 or t.num_rows == 0:
-            return empty
         df = pd.DataFrame(
             {
                 "g": t.column(group_col).to_pandas().to_numpy(dtype=object),
@@ -2272,13 +2155,7 @@ def grouped_count_distinct(
             }
         )
 
-    folded = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(in_bucket, batch_format="pyarrow")
-        .groupby(group_col)
-        .sum("nd")
-    )
+    folded = _bucketed(ds, pairs, in_bucket, empty).groupby(group_col).sum("nd")
 
     out_empty = pa.table(
         {group_col: pa.array([], pa.string()), "n_distinct": pa.array([], pa.int64())}

@@ -327,6 +327,26 @@ class TestQuantileFilter:
         out = smp.quantile_filter(rd.from_arrow(t), p=0.5).to_pandas()
         assert "b" not in set(out["doc_id"])
 
+    def test_no_non_null_value_keeps_no_rows(self, ray_session):
+        import duckdb
+        import ray.data as rd
+
+        from duckdb_raquet_ray.pipelines import sampling as smp
+
+        t = pa.table(
+            {
+                "doc_id": pa.array(["a", "b"]),
+                "source": pa.array(["s", None]),
+                "n_tok": pa.array([None, None], pa.int64()),
+            }
+        )
+        # no group has a cutoff: the SQL twin's join is empty, so is this
+        out = smp.quantile_filter(rd.from_arrow(t), p=0.5).take_all()
+        assert out == []
+        con = duckdb.connect()
+        con.register("corpus", t)
+        assert con.sql(smp.quantile_filter_oracle_sql("corpus")).fetchall() == []
+
 
 def test_temperature_rates_rule():
     from duckdb_raquet_ray.pipelines import sampling

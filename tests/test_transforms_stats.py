@@ -760,10 +760,30 @@ class TestEmptyGroupSchemaPinning:
                 "g": pa.array(["a", "b"] * 20),
                 "v": pa.array(list(range(40)), pa.int64()),
                 "k": pa.array(list(range(40)), pa.int64()),
+                "tok": pa.array(
+                    [[i % 5, (i + 1) % 5] for i in range(40)], pa.list_(pa.int64())
+                ),
             }
         )
         ds = rd.from_arrow(t).repartition(4)
+        quants = {"p25", "p50", "p75", "p90", "p99"}
         for name, build, want_cols in (
+            ("hist", lambda: stats.value_histogram(ds, "tok", 5, flatten=True),
+             {"value", "cnt"}),
+            ("gtopk", lambda: stats.grouped_topk(ds, "g", "tok", 5, k=2, n_buckets=16),
+             {"g", "token", "cnt"}),
+            ("bigram", lambda: stats._bigram_buckets(ds, "tok", 10, 16),
+             {"key", "cnt"}),
+            ("quantiles", lambda: stats.grouped_quantiles(ds, "g", "v", n_buckets=16),
+             {"g"} | quants),
+            ("quantiles_cont",
+             lambda: stats.grouped_quantiles_cont(ds, "g", "v", n_buckets=16),
+             {"g"} | {q.replace("p", "q") for q in quants}),
+            ("entropy",
+             lambda: stats.grouped_token_entropy(ds, "g", "tok", 5, n_buckets=16),
+             {"g", "n_tokens", "n_distinct", "entropy_bits"}),
+            ("kl", lambda: stats.grouped_kl_divergence(ds, "g", "tok", 5, n_buckets=16),
+             {"g", "n_tokens", "kl_bits"}),
             ("mad", lambda: stats.grouped_mad_outliers(ds, "g", "v", n_buckets=16),
              {"g", "med2", "mad4", "n_rows", "n_outliers"}),
             ("distinct", lambda: stats.grouped_count_distinct(ds, "g", "v", n_buckets=16),
@@ -786,3 +806,124 @@ class TestEmptyGroupSchemaPinning:
             assert real, name
             for blk in real:
                 assert set(blk.schema.names) == want_cols, (name, blk.schema.names)
+
+
+def _group_coding_table():
+    rng = np.random.default_rng(5)
+    n = 300
+    src = np.array(["a", "b", "", None, "c"], dtype=object)[rng.integers(0, 5, n)]
+    n_tok = rng.integers(0, 40, n).astype(object)
+    n_tok[rng.random(n) < 0.15] = None
+    toks = [
+        None if rng.random() < 0.05 else rng.integers(0, 20, rng.integers(0, 8)).tolist()
+        for _ in range(n)
+    ]
+    return pa.table(
+        {
+            "source": pa.array(src, pa.string()),
+            "n_tok": pa.array(n_tok, pa.int64()),
+            "tokens": pa.array(toks, pa.list_(pa.int64())),
+        }
+    )
+
+
+def _canon(df, cols):
+    """sweep_oracles canonicalization: ints exact, floats at %.9g, sorted rows."""
+    return sorted(
+        tuple(
+            v if isinstance(v, str) else ("%.9g" % v if isinstance(v, float) else int(v))
+            for v in row
+        )
+        for row in df[cols].itertuples(index=False)
+    )
+
+
+class TestBucketedCore:
+    """The shared partial -> `_b` bucket -> run merge -> finalize core."""
+
+    def test_group_codes_match_factorize(self):
+        import pandas as pd
+
+        from duckdb_raquet_ray.stages import stats
+
+        rng = np.random.default_rng(0)
+        keys = np.array(["x", "", None, "yy", "zé"], dtype=object)
+        vals = keys[rng.integers(0, len(keys), 5000)]
+        col = pa.chunked_array([pa.array(vals[:2500]), pa.array(vals[2500:])])
+        codes, groups = stats._group_codes(col, "g")
+        want_codes, want_groups = pd.factorize(col.to_pandas().fillna(""), sort=False)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == want_codes.tolist()
+        assert groups.tolist() == want_groups.tolist()  # first-appearance order
+
+    @pytest.mark.parametrize(
+        "op", ["quantiles", "quantiles_cont", "entropy"]
+    )
+    @pytest.mark.parametrize("n_buckets", [1, 7])
+    def test_histogram_ops_match_sql_twin(self, ray_session, op, n_buckets):
+        import duckdb
+        import ray.data as rd
+
+        from duckdb_raquet_ray.stages import stats
+
+        t = _group_coding_table()
+        ds = rd.from_arrow(t).repartition(3)
+        engine, sql = {
+            "quantiles": (
+                lambda: stats.grouped_quantiles(ds, n_buckets=n_buckets),
+                stats.grouped_quantiles_oracle_sql("t"),
+            ),
+            "quantiles_cont": (
+                lambda: stats.grouped_quantiles_cont(ds, n_buckets=n_buckets),
+                stats.grouped_quantiles_cont_oracle_sql("t"),
+            ),
+            "entropy": (
+                lambda: stats.grouped_token_entropy(ds, vocab_size=20, n_buckets=n_buckets),
+                stats.grouped_entropy_oracle_sql("t"),
+            ),
+        }[op]
+        got = engine().to_pandas()
+        con = duckdb.connect()
+        con.register("t", t)
+        want = con.execute(sql).df()
+        assert set(got.columns) == set(want.columns)
+        cols = list(got.columns)
+        assert "" in set(got["source"])  # NULL and '' groups fold together
+        assert _canon(got, cols) == _canon(want, cols)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            "grouped_topk", "grouped_quantiles", "grouped_quantiles_cont",
+            "grouped_token_entropy", "grouped_kl_divergence",
+            "grouped_mad_outliers", "grouped_topk_rows",
+            "grouped_count_distinct", "grouped_corr",
+        ],
+    )
+    def test_non_string_group_refused_by_name(self, ray_session, op):
+        import ray.data as rd
+
+        from duckdb_raquet_ray.stages import stats
+
+        t = pa.table(
+            {
+                "g": pa.array([1, 2, 1], pa.int64()),
+                "v": pa.array([3, 4, 5], pa.int64()),
+                "x": pa.array([1.0, 2.0, 4.0]),
+                "tok": pa.array([[1, 2], [3], [2, 2]], pa.list_(pa.int64())),
+            }
+        )
+        ds = rd.from_arrow(t)
+        build = {
+            "grouped_topk": lambda: stats.grouped_topk(ds, "g", "tok", 10, k=2),
+            "grouped_quantiles": lambda: stats.grouped_quantiles(ds, "g", "v"),
+            "grouped_quantiles_cont": lambda: stats.grouped_quantiles_cont(ds, "g", "v"),
+            "grouped_token_entropy": lambda: stats.grouped_token_entropy(ds, "g", "tok", 10),
+            "grouped_kl_divergence": lambda: stats.grouped_kl_divergence(ds, "g", "tok", 10),
+            "grouped_mad_outliers": lambda: stats.grouped_mad_outliers(ds, "g", "v"),
+            "grouped_topk_rows": lambda: stats.grouped_topk_rows(ds, "g", "v", k=1, key_col="x"),
+            "grouped_count_distinct": lambda: stats.grouped_count_distinct(ds, "g", "v"),
+            "grouped_corr": lambda: stats.grouped_corr(ds, "g", "v", "x"),
+        }[op]
+        with pytest.raises(Exception, match="group column 'g' has type int64"):
+            build().take_all()
