@@ -160,6 +160,16 @@ def _np_dtype_of(t: pa.DataType) -> np.dtype:
     return np.dtype(_NP_OF_ARROW[s])
 
 
+def one_chunk(col: pa.Array | pa.ChunkedArray) -> pa.Array:
+    """A column as one Array. A one-chunk ChunkedArray (what a Parquet row
+    group read gives) returns its chunk zero-copy, offset and all:
+    ``combine_chunks`` copies every buffer even then. Several chunks are
+    concatenated; an Array passes through."""
+    if not isinstance(col, pa.ChunkedArray):
+        return col
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
 # ---------------------------------------------------------------------------
 # validity bitmap (Arrow LSB bit order, so it can feed from_buffers directly)
 # ---------------------------------------------------------------------------
@@ -295,9 +305,9 @@ def decode_primitive(blob: bytes, desc: dict) -> pa.Array:
 
 def _string_parts(arr: pa.Array) -> tuple[np.ndarray, bytes]:
     """-> (lengths int64 with 0 at nulls, concatenated data bytes)."""
-    arr = pc.fill_null(arr, b"" if pa.types.is_binary(arr.type) or pa.types.is_large_binary(arr.type) else "")
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = one_chunk(
+        pc.fill_null(arr, b"" if pa.types.is_binary(arr.type) or pa.types.is_large_binary(arr.type) else "")
+    )
     big = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type)
     off_dt = np.int64 if big else np.int32
     n = len(arr)
@@ -331,9 +341,7 @@ def encode_string(arr: pa.Array, codec: str, general_method: str | None = None) 
         "codec": codec,
     }
     if codec == "dict":
-        darr = pc.dictionary_encode(arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr)
-        if isinstance(darr, pa.ChunkedArray):
-            darr = darr.combine_chunks()
+        darr = pc.dictionary_encode(one_chunk(arr))
         indices = darr.indices
         idx_np = pc.fill_null(indices, 0).to_numpy(zero_copy_only=False).astype(np.int64)
         plane = idx_np.astype(U64)
@@ -452,8 +460,7 @@ def _encode_child_for_rows(
 
 
 def encode_list(arr: pa.Array, child_choice: dict) -> tuple[bytes, dict]:
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = one_chunk(arr)
     n = len(arr)
     sections, _ = _validity_section(arr)
     lengths = pc.fill_null(pc.list_value_length(arr), 0).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -550,8 +557,7 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, choice: dict) -> tuple[bytes, 
     choice = {"codec": name, ...} for primitives/strings;
              {"codec": "list", "child": <choice>} for lists.
     """
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = one_chunk(arr)
     t = arr.type
     if pa.types.is_list(t) or pa.types.is_large_list(t):
         return encode_list(arr, choice.get("child", {"codec": "plain"}))

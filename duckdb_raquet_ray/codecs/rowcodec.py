@@ -73,24 +73,13 @@ def row_ranges(plane: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.n
     return bases, ranges
 
 
-def fill_rowwise(per_row: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[k] = per_row[row containing k]`` without the ``np.repeat``
-    allocation: scatter per-row DIFFS at the row starts, then an in-place
-    modular cumsum reconstructs the expansion. out dtype == per_row dtype;
-    arithmetic wraps in that width, which is exactly what the modular FOR
-    needs. Rationale for the extra pass vs ``np.repeat``: `out` is scratch
-    — repeat's fresh allocation page-faults on every call (see
-    codecs/scratch.py), which dominates encode at high parallelism."""
-    lengths = np.diff(offsets)
-    ne = lengths > 0
-    out[:] = 0
-    if ne.any():
-        v = per_row[ne]
-        d = v.copy()
-        d[1:] -= v[:-1]  # modular diffs
-        out[offsets[:-1][ne]] = d
-    np.cumsum(out, out=out)
-    return out
+def fill_rowwise(per_row: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``out[k] = per_row[row containing k]``, as ``np.repeat`` by the row
+    lengths: one write pass over a fresh plane of per_row's dtype (~6x
+    faster than zero + diff scatter + cumsum into a scratch plane). The
+    fresh allocation costs no page faults on the stages' workers:
+    ``util.retain_heap`` keeps freed blocks mapped, so it reuses them."""
+    return np.repeat(per_row, lengths)
 
 
 def _encode_bucket(narrow: np.ndarray) -> tuple[bytes, dict]:
@@ -114,7 +103,8 @@ def _encode_bucket(narrow: np.ndarray) -> tuple[bytes, dict]:
 def _detect_dict(plane, bases, ranges, codes, offsets, n, rows, pw):
     """Find a partition-global value table and re-class rows fully covered
     by it (and wider than its 1-byte code) to DICT_CODE, mutating
-    ``codes`` in place. Returns (sorted table values | None, code width 1).
+    ``codes`` in place. Returns (sorted table values | None, code width,
+    gathered values | None).
 
     Two-stage, so it works both when a shared alphabet coexists with a
     diverse background (top-K candidates separate them) AND when the whole
@@ -128,21 +118,25 @@ def _detect_dict(plane, bases, ranges, codes, offsets, n, rows, pw):
          codes (256), which also guarantees every eligible row wins
          (1 byte/token vs its >= 2).
 
+    The third value returned is the eligible rows' values in row order:
+    those rows are exactly the dict bucket, so encode codes them without
+    a second gather over the plane.
+
     Domain-bounded to 2^20 bit patterns (token ids) so the bincount/LUT
     stay a few MB; signed-negative planes fall outside the bound and
     skip. The planner's trial-encode hint gates these passes entirely for
     dict-less data."""
     if n == 0 or rows == 0 or pw > 4:
-        return None, 0
+        return None, 0, None
     gmax = int(np.max(bases.astype(np.uint64) + ranges.astype(np.uint64))) if rows else 0
     if gmax >= _DICT_MAX_PLANE:
-        return None, 0
+        return None, 0, None
     p64 = scratch.arr("rc.p64", n, np.int64)
     np.copyto(p64, plane, casting="unsafe")
     counts = np.bincount(p64, minlength=gmax + 1)
     nz = np.flatnonzero(counts >= _DICT_MIN_REPEATS)
     if len(nz) < 2:
-        return None, 0
+        return None, 0, None
     if len(nz) > _DICT_MAX_CARD:
         order = np.lexsort((nz, -counts[nz]))[:_DICT_MAX_CARD]
         cand = np.sort(nz[order])
@@ -160,30 +154,25 @@ def _detect_dict(plane, bases, ranges, codes, offsets, n, rows, pw):
     w_bytes = np.array([0, 1, 2, 4, 8, 0], dtype=np.int64)[codes]
     eligible = covered & (w_bytes >= 2)
     if not eligible.any():
-        return None, 0
+        return None, 0, None
     # final table: the distinct values the eligible rows actually use.
     # card <= 256 -> 1-byte codes (always a win over the >= 2-byte rows).
     # card <= 4096 -> 2-byte codes: byte-equal with w2 rows, but the
     # shared-table alignment usually beats misaligned residual entropy —
     # the planner's dict-on/off trial makes that call empirically.
-    tok_elig = fill_rowwise(
-        eligible.view(np.uint8), offsets, scratch.arr("rc.delig", n, np.uint8)
-    ).view(bool)
-    # distinct values of the eligible rows: gather the eligible subset and
-    # scatter into a bool LUT — ~2.4x cheaper than a weighted bincount over
-    # the full plane (the weights path accumulates in float64), and the
-    # traffic scales with the eligible fraction instead of n
-    n_sel = int(lengths[eligible].sum())
-    sel = scratch.arr("rc.dsel", n_sel, np.int64)
-    np.compress(tok_elig, p64, out=sel)
+    # Gather the eligible subset and scatter it into a bool LUT: ~2.4x
+    # cheaper than a weighted bincount over the full plane (float64
+    # weights), and a boolean index on the pw-byte plane gathers ~3x
+    # faster than np.compress(out=) on the 8-byte p64.
+    sel = plane[fill_rowwise(eligible, lengths)]
     used = np.zeros(gmax + 1, dtype=bool)
     used[sel] = True
     hot = np.flatnonzero(used)
     if not (2 <= len(hot) <= _DICT_MAX_CARD):
-        return None, 0
+        return None, 0, None
     code_w = 1 if len(hot) <= 256 else 2
     codes[eligible] = DICT_CODE
-    return hot, code_w
+    return hot, code_w, sel
 
 
 def encode_child(
@@ -198,10 +187,11 @@ def encode_child(
 
     ``signed`` orders the per-row min/max on the logical values (the same
     rule as :func:`intcodec.for_minmax`); residual arithmetic is modular
-    in the plane width so the bit patterns round-trip exactly. All O(n)
-    temporaries come from the scratch pool (codecs/scratch.py) — this
-    kernel runs on long-lived Ray workers and must not re-fault
-    half a GB of pages per partition."""
+    in the plane width so the bit patterns round-trip exactly. The O(n)
+    temporaries come from the scratch pool (codecs/scratch.py) or, for
+    ``np.repeat`` expansions and boolean gathers, from the heap that
+    ``util.retain_heap`` keeps mapped — this kernel runs on long-lived Ray
+    workers and must not re-fault half a GB of pages per partition."""
     lengths = np.diff(offsets).astype(np.int64)
     n = len(plane)
     rows = len(lengths)
@@ -223,10 +213,10 @@ def encode_child(
     if pw > 4:
         codes[ranges > 0xFFFFFFFF] = 4
 
-    hot, code_w = (
+    hot, code_w, gathered = (
         _detect_dict(plane, bases, ranges, codes, offsets, n, rows, pw)
         if try_dict
-        else (None, 0)
+        else (None, 0, None)
     )
     if hot is not None:
         # dict rows carry ABSOLUTE values (indices into the shared table);
@@ -236,34 +226,26 @@ def encode_child(
         bases[codes == DICT_CODE] = 0
 
     # residual pass AFTER dict detection: dict rows must keep absolute values
-    bot = fill_rowwise(bases, offsets, scratch.arr("rc.bot", n, plane.dtype))
     resid = scratch.arr("rc.resid", n, plane.dtype)
-    np.subtract(plane, bot, out=resid)
+    np.subtract(plane, fill_rowwise(bases, lengths), out=resid)
 
     # per-code token counts from a rows-sized bincount — the expanded wtok
-    # plane and per-bucket equality masks are built only when more than
-    # one bucket actually exists (the common single-bucket partition skips
-    # three full passes over the child)
+    # plane and per-bucket equality masks are built only when a residual
+    # bucket leaves tokens out (the common single-bucket partition skips
+    # three full passes over the child; the dict bucket is already gathered)
     cnt_by_code = np.bincount(codes, weights=lengths, minlength=6).astype(np.int64)
     present = [c for c in (1, 2, 3, 4, DICT_CODE) if cnt_by_code[c] > 0]
-    need_masks = len(present) > 1 or (present and cnt_by_code[1:].sum() < n)
-    if need_masks:
-        wtok = fill_rowwise(codes, offsets, scratch.arr("rc.wtok", n, np.uint8))
+    if any(cnt_by_code[c] < n for c in present if c != DICT_CODE):
+        wtok = fill_rowwise(codes, lengths)
         mask = scratch.arr("rc.mask", n, bool)
     sections: list[bytes] = []
     buckets: list[dict] = []
     for code in present:
         cnt = int(cnt_by_code[code])
         if code == DICT_CODE:
-            # gather ABSOLUTE values, map to table ranks via a LUT, code
-            # the ranks; the table itself (sorted ascending -> tiny FOR
-            # deltas) rides in the same section before the ranks
-            gathered = scratch.arr("rc.gdict", cnt, plane.dtype)
-            if need_masks:
-                np.equal(wtok, DICT_CODE, out=mask)
-                np.compress(mask, plane, out=gathered)
-            else:
-                np.copyto(gathered, plane)
+            # map the ABSOLUTE values _detect_dict gathered to table ranks
+            # via a LUT, code the ranks; the table itself (sorted ascending
+            # -> tiny FOR deltas) rides in the same section before the ranks
             rank_lut = np.zeros(int(hot[-1]) + 1, dtype=_NP_OF_WIDTH[code_w])
             rank_lut[hot] = np.arange(len(hot), dtype=rank_lut.dtype)
             ranks = scratch.arr("rc.ranks", cnt, _NP_OF_WIDTH[code_w])
@@ -283,12 +265,12 @@ def encode_child(
         # the strided view reads w of every pw bytes, so the narrow cast
         # is fused into the gather (values < 2^(8w) make it exact)
         lane = resid.view(_NP_OF_WIDTH[w])[:: pw // w]
-        narrow = scratch.arr("rc.narrow", cnt, _NP_OF_WIDTH[w])
-        if need_masks:
+        if cnt < n:
             np.equal(wtok, code, out=mask)
-            np.compress(mask, lane, out=narrow)
-        else:
-            np.copyto(narrow, lane)  # one bucket covers every token
+            narrow = lane[mask]  # ~3x faster than np.compress(out=)
+        else:  # one bucket covers every token
+            narrow = scratch.arr("rc.narrow", cnt, _NP_OF_WIDTH[w])
+            np.copyto(narrow, lane)
         blob, bdesc = _encode_bucket(narrow)
         sections.append(blob)
         buckets.append({"code": code, "plane": bdesc})
@@ -325,9 +307,6 @@ def decode_child(blob: bytes, desc: dict, lengths: np.ndarray) -> np.ndarray:
     off += secs[1]
 
     lengths = np.asarray(lengths, dtype=np.int64)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    out = np.empty(n, dtype=dt)  # the returned plane — never scratch
 
     def bucket_values(section: bytes, b: dict) -> np.ndarray:
         if b["code"] == DICT_CODE:
@@ -340,21 +319,21 @@ def decode_child(blob: bytes, desc: dict, lengths: np.ndarray) -> np.ndarray:
     bks = desc["buckets"]
     if len(bks) == 1 and bks[0]["plane"]["n"] == n:
         # single bucket covering every token: no expanded code plane, no
-        # scatter — expand the row bases straight into the output plane and
-        # add the residuals over them (one fewer full-plane pass than
-        # copy-then-add)
+        # scatter — the expanded row bases ARE the output plane (a fresh
+        # array, never scratch), with the residuals added in place
         sub = bucket_values(blob[off : off + secs[2]], bks[0])
-        off += secs[2]
-        fill_rowwise(bases, offsets, out)
+        out = fill_rowwise(bases, lengths)
         np.add(out, sub, out=out, casting="unsafe")
         return out
-    # Multi-bucket: expand the per-row width codes to per-token, then
-    # mask-scatter each bucket's residuals. (A row-granularity rewrite —
-    # concatenated-range indices per bucket, fused base-add — was tried
-    # and measured SLOWER: the int32 index plane costs more passes than
-    # the uint8 code plane + boolean masks it replaces.)
-    wtok = fill_rowwise(codes, offsets, scratch.arr("rc.wtok", n, np.uint8))
-    out[:] = 0
+    # Multi-bucket: expand the per-row width codes to per-token, scatter
+    # each bucket's residuals under its code's mask into a zeroed plane
+    # (zero-width rows keep 0), then add the expanded row bases: two
+    # np.repeat expansions in all. (A row-granularity rewrite — concatenated
+    # -range indices per bucket, fused base-add — was tried and measured
+    # SLOWER: the int32 index plane costs more passes than the uint8 code
+    # plane + boolean masks it replaces.)
+    wtok = fill_rowwise(codes, lengths)
+    out = np.zeros(n, dtype=dt)  # the returned plane — never scratch
     mask = scratch.arr("rc.mask", n, bool)
     for i, b in enumerate(bks):
         size = secs[2 + i]
@@ -362,8 +341,7 @@ def decode_child(blob: bytes, desc: dict, lengths: np.ndarray) -> np.ndarray:
         off += size
         np.equal(wtok, b["code"], out=mask)
         out[mask] = sub  # setitem upcasts narrow unsigned in place
-    bot = fill_rowwise(bases, offsets, scratch.arr("rc.bot", n, dt))
-    np.add(out, bot, out=out)
+    np.add(out, fill_rowwise(bases, lengths), out=out)
     return out
 
 

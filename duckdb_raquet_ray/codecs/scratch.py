@@ -17,7 +17,11 @@ per-process pool — named, grow-only buffers that fault once per process
 and are reused for every later partition. This is the same reasoning as the
 reference's per-thread lazily-initialized scratch state
 (/root/reference/src/read_raster.cpp:264-286), applied to numpy.
-Each stage `claim`s the pool for its family first.
+Each stage `claim`s the pool for its family first. Results NumPy can only
+return fresh (``np.repeat`` expansions and boolean-index gathers in
+codecs/rowcodec.py) rely instead on ``util.retain_heap``, which keeps
+freed blocks mapped on the stages' workers, so a warm partition reuses
+them without re-faulting.
 
 Contract: a buffer named `tag` is INVALIDATED by the next `buf()`/`arr()`
 call with the same tag — callers must finish with (or copy out of) a

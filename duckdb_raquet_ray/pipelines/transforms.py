@@ -35,6 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from duckdb_raquet_ray import blockcodec as bc
 from duckdb_raquet_ray.codecs import scratch
 
 SENTINEL = -1  # the nodata analogue for masked token slots
@@ -47,9 +48,7 @@ def _child_and_rebuild(batch: pa.Table, column: str):
     Null LIST ELEMENTS are surfaced via the validity array (and preserved
     by ``rebuild``), never silently cast — to_numpy on a nullable child
     would turn nulls into float NaN and corrupt integer math downstream."""
-    arr = batch.column(column)
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = bc.one_chunk(batch.column(column))
     child_type = arr.type.value_type
     lengths = pc.fill_null(pc.list_value_length(arr), 0).to_numpy(zero_copy_only=False)
     child_arr = arr.flatten()
@@ -165,9 +164,6 @@ def clip_tokens(
     """Drop elements outside [low, high], shrinking each list (the ST_Clip
     projection, st_clip.cpp:318-455 — predicate-projected decode). Updates
     the length column if given."""
-    arr = batch.column(column)
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
     child, offsets, _, child_valid = _child_and_rebuild(batch, column)
     keep = (child >= low) & (child <= high)
     if child_valid is not None:  # null elements fail the predicate (nodata rule)
@@ -177,11 +173,12 @@ def clip_tokens(
     new_lengths = csum[offsets[1:]] - csum[offsets[:-1]]
     new_offsets = np.zeros(len(new_lengths) + 1, dtype=np.int32)
     np.cumsum(new_lengths, out=new_offsets[1:])
-    child_type = arr.type.value_type
+    child_type = batch.schema.field(column).type.value_type
     values = pa.array(child[keep].astype(child_type.to_pandas_dtype()), type=child_type)
     out = pa.ListArray.from_arrays(pa.array(new_offsets), values)
-    if arr.null_count:
-        out = pc.if_else(arr.is_valid(), out, pa.scalar(None, type=out.type))
+    col = batch.column(column)
+    if col.null_count:
+        out = pc.if_else(col.is_valid(), out, pa.scalar(None, type=out.type))
     batch = batch.set_column(batch.schema.get_field_index(column), column, out)
     if length_column and length_column in batch.column_names:
         lt = batch.schema.field(length_column).type

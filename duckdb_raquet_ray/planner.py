@@ -131,7 +131,7 @@ def plan_string(arr: pa.Array) -> tuple[str, dict[str, float]]:
     n = len(arr)
     if n == 0:
         return "plain", {"plain": 0.0}
-    lengths, data = bc._string_parts(arr if isinstance(arr, pa.Array) else arr.combine_chunks())
+    lengths, data = bc._string_parts(arr)
     total = len(data)
     est: dict[str, float] = {"plain": total + n * 1.5 + _HEADER_OVERHEAD}
 
@@ -164,8 +164,7 @@ def plan_string(arr: pa.Array) -> tuple[str, dict[str, float]]:
 
 def plan_array(arr: pa.Array | pa.ChunkedArray) -> dict:
     """-> choice dict for :func:`blockcodec.encode_array`."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = bc.one_chunk(arr)
     t = arr.type
     if pa.types.is_list(t) or pa.types.is_large_list(t):
         child = arr.flatten()

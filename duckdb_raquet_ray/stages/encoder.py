@@ -103,8 +103,7 @@ def column_stats(table: pa.Table) -> dict[str, dict]:
         col = table.column(name)
         t = col.type
         if pa.types.is_list(t) or pa.types.is_large_list(t):
-            col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            col = col.flatten()
+            col = bc.one_chunk(col).flatten()
             t = col.type
         if not pa.types.is_integer(t):
             continue

@@ -161,3 +161,60 @@ def test_sliced_input_array():
 def test_chunked_array():
     ca = pa.chunked_array([pa.array([1, 2, 3]), pa.array([4, 5])])
     roundtrip(ca, {"codec": "for_bitpack"})
+
+
+class TestOneChunk:
+    """``one_chunk``: a one-chunk column is coded in place, not copied, and
+    every entry point that takes a column gives the ``combine_chunks()``
+    output, for several chunks and for one chunk sliced to an offset."""
+
+    @staticmethod
+    def _columns():
+        rng = np.random.default_rng(17)
+        n = 3000
+        return {
+            "tokens": pa.array(
+                [None if rng.random() < 0.05 else rng.integers(0, 50_000, rng.integers(0, 30)).tolist()
+                 for _ in range(n)],
+                pa.list_(pa.int32()),
+            ),
+            "source": pa.array(
+                [None if rng.random() < 0.1 else f"src-{v}" for v in rng.integers(0, 400, n)]
+            ),
+            "n_tok": pa.array(
+                [None if rng.random() < 0.1 else int(v) for v in rng.integers(-1000, 1000, n)],
+                pa.int32(),
+            ),
+        }
+
+    def test_one_chunk_is_zero_copy(self):
+        for arr in self._columns().values():
+            got = bc.one_chunk(pa.chunked_array([arr.slice(100)]))
+            assert got.offset == 100 and len(got) == len(arr) - 100
+            assert [b.address for b in got.buffers() if b is not None] == [
+                b.address for b in arr.buffers() if b is not None
+            ]
+            assert bc.one_chunk(arr) is arr
+
+    @pytest.mark.parametrize("layout", ["three_chunks", "sliced_one_chunk"])
+    def test_entry_points_match_combined(self, layout):
+        from duckdb_raquet_ray import planner
+        from duckdb_raquet_ray.pipelines import transforms as tr
+        from duckdb_raquet_ray.stages import encoder
+
+        cols = self._columns()
+        def chunks(v):
+            return [v[:1200], v[1200:1900], v[1900:]] if layout == "three_chunks" else [v.slice(777)]
+
+        table = pa.table({k: pa.chunked_array(chunks(v)) for k, v in cols.items()})
+        combined = pa.table({k: table.column(k).combine_chunks() for k in cols})
+        for k in cols:
+            col, ref = table.column(k), combined.column(k).chunk(0)
+            assert ref.offset == 0
+            choice = planner.plan_array(col)
+            assert choice == planner.plan_array(ref)
+            blob, desc = bc.encode_array(col, choice)
+            assert (blob, desc) == bc.encode_array(ref, choice)
+            assert bc.decode_array(blob, desc).equals(ref)
+        assert encoder.column_stats(table) == encoder.column_stats(combined)
+        assert tr.clip_tokens(table, 100, 30_000).equals(tr.clip_tokens(combined, 100, 30_000))

@@ -5,6 +5,9 @@ F2): hand-crafted inputs with hand-checkable encodings, then seeded random
 round-trip properties per codec x dtype x edge case.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -257,3 +260,153 @@ class TestCorruptStreamBoundaries:
                     dec(bytes(b))
                 except (ValueError, NotImplementedError, EOFError):
                     pass
+
+
+# ---------------------------------------------------------------------------
+# for_rows byte-format pin
+# ---------------------------------------------------------------------------
+
+# name -> (plane dtype, signed, alphabet size, row kinds drawn uniformly).
+# Row kinds: "e" empty; "0".."4" a residual row whose values span
+# exactly _PIN_SPANS[k] above its base (width code k); "a" values drawn from one
+# shared alphabet (dict-eligible); "x" wide values outside the alphabet.
+_PIN_FIXTURES = {
+    "widths_u64": (np.uint64, False, 0, "e01234"),
+    "dict_w1": (np.uint32, False, 64, "aaaae1x"),
+    "dict_w2": (np.uint32, False, 1000, "aaaae1x"),
+    "dict_all": (np.uint32, False, 64, "ae"),
+    "dict_off": (np.uint32, False, 64, "aaaae1x"),
+    "single_w1": (np.uint16, False, 0, "1"),
+    "i8": (np.int8, True, 0, "e01"),
+    "i32": (np.int32, True, 0, "e0123"),
+    "i64": (np.int64, True, 0, "e01234"),
+}
+_PIN_SPANS = {"0": 0, "1": 200, "2": 60_000, "3": 1 << 31, "4": 1 << 62}
+
+# sha256 of b"".join(sections) and of json.dumps(desc, sort_keys=True)
+_PIN_SHA = {
+    "dict_all": (
+        "8977051a557b5b80f3f17ddda6aad6dfa6d71e9561804af027e206743fb7214f",
+        "5d0fe63efeca063b2f739077fa6fb89d9689ecc364a18a44aadc5b2660c1abca",
+    ),
+    "dict_off": (
+        "0b0951bb1d4de61b3d8b121b36215e5579e73a64ff30a439bf60251501fe4d62",
+        "59a8ce179fe372b8fd6f8a57633c5f249efeb7364e31d888992a81eaee778c0b",
+    ),
+    "dict_w1": (
+        "00d16702432e851dff8dbb28c11c5fc744dc8a6ea15d188c02fefd5e7fed02c9",
+        "6fef18c50f7254c1b6455195df9d89249a2666e40ea25c98f1fdd52c6571dfac",
+    ),
+    "dict_w2": (
+        "90baf204de642b032d84cf614613ee01c952e2bce3b7f9888dccb3a9c17410a9",
+        "797c4c11ec3c7c419287904f0afc013950c640babf02d8288b1f739b281d3fe6",
+    ),
+    "i32": (
+        "49b3f8300be404c6073cca573a706e2698ce3061549ae34eae5cd3b96cb7e376",
+        "41ef402ba14823db0dee48a832c1d073ebecc765c010ef722fa70b63d14d13b0",
+    ),
+    "i64": (
+        "8380cd66396df584d1dd4ee2b33a9433a1d5b517f4c320d5350cf534b9cb5fa1",
+        "f47ef2d1a830ba38cb260f5f7678cb06b449a0886af1b9022cbabc274f84713f",
+    ),
+    "i8": (
+        "b2ec2020951e8a077ed2bf5332bf052fd7ff17c1f0400a6002672a2b9a59675c",
+        "569ea7b595cdda39f5866ed7beaee81a1791d5a006b8428579b9dd2fbf66cc8f",
+    ),
+    "single_w1": (
+        "42e7bbd4ad0ec45525ef58f3279d2319173c90bedc4a44a915a77cfce6e95272",
+        "49be18dda22239a7b29404f2187a658e9bd42bcf9af897a12fea46e2ad5eb48f",
+    ),
+    "widths_u64": (
+        "5551cde3038cc4ced8077a9a3dfd05b78815d3d82d022ed7986387dafa5c2fa7",
+        "f0c2c37739b3b5a5c84da9fdd71876a025e67464cb8b34c97a9dabad12d00736",
+    ),
+}
+
+
+def _for_rows_fixture(name):
+    """Seeded (plane, offsets, signed) of a _PIN_FIXTURES entry; the plane
+    holds the unsigned bit patterns, as blockcodec.to_plane gives them."""
+    dt, signed, card, kinds = _PIN_FIXTURES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    alphabet = rng.choice(50_000, size=max(card, 1), replace=False)
+    info = np.iinfo(dt)
+    pieces = []
+    for k in rng.choice(list(kinds), size=400):
+        if k == "e":
+            pieces.append(np.zeros(0, dtype=np.int64))
+        elif k == "a":
+            pieces.append(alphabet[rng.integers(0, card, size=rng.integers(20, 80))])
+        elif k == "x":
+            pieces.append(rng.integers(60_000, 1 << 19, size=rng.integers(20, 80)))
+        else:
+            span = _PIN_SPANS[k]
+            lo = int(info.min) if signed else 0
+            hi = int(info.max) - span if signed else 20_000
+            base = int(rng.integers(lo, hi, endpoint=True))
+            row = base + rng.integers(0, span, size=rng.integers(2, 40), endpoint=True)
+            row[[0, -1]] = base, base + span  # the row's range is exactly span
+            pieces.append(row)
+    vals = np.concatenate(pieces).astype(dt)
+    offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in pieces], out=offsets[1:])
+    plane = vals.view(np.dtype(f"u{vals.itemsize}"))
+    return plane, offsets, signed
+
+
+def _pin_encode(name):
+    plane, offsets, signed = _for_rows_fixture(name)
+    secs, desc = rowcodec.encode_child(plane, offsets, signed, try_dict=name != "dict_off")
+    return plane, offsets, b"".join(secs), desc
+
+
+class TestRowcodecBytePin:
+    """The for_rows byte format, pinned by hash on seeded fixtures: any
+    kernel rewrite must keep every section and descriptor byte-identical."""
+
+    def test_fixtures_hit_every_format_branch(self):
+        def shape(name):
+            _, _, _, d = _pin_encode(name)
+            return d["pw"], sorted(
+                (b["code"], b["plane"]["byte_width"], b["plane"]["n"] == d["n"])
+                for b in d["buckets"]
+            )
+
+        assert shape("widths_u64") == (8, [(1, 1, False), (2, 2, False), (3, 4, False), (4, 8, False)])
+        assert (5, 1, False) in shape("dict_w1")[1]
+        assert (5, 2, False) in shape("dict_w2")[1]
+        assert shape("dict_all") == (4, [(5, 1, True)])
+        assert all(c != 5 for c, _, _ in shape("dict_off")[1])
+        assert shape("single_w1") == (2, [(1, 1, True)])
+        assert [shape(n)[0] for n in ("i8", "i32", "i64")] == [1, 4, 8]
+        assert {c for c, _, _ in shape("i64")[1]} == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("name", sorted(_PIN_FIXTURES))
+    def test_bytes_and_descriptor_pinned(self, name):
+        plane, offsets, blob, desc = _pin_encode(name)
+        got = (
+            hashlib.sha256(blob).hexdigest(),
+            hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest(),
+        )
+        assert got == _PIN_SHA[name]
+
+    @pytest.mark.parametrize("name", sorted(_PIN_FIXTURES))
+    def test_decode_and_stats_roundtrip(self, name):
+        plane, offsets, blob, desc = _pin_encode(name)
+        lengths = np.diff(offsets)
+        np.testing.assert_array_equal(rowcodec.decode_child(blob, desc, lengths), plane)
+        res = rowcodec.stats_child(blob, desc, lengths)
+        if res is None:  # the caller then falls back to a full decode
+            assert _PIN_FIXTURES[name][1] or plane.itemsize == 8
+            return
+        ne = lengths > 0
+        v = plane.astype(np.int64)
+        starts = offsets[:-1][ne]
+        for got, fn, empty in zip(
+            res,
+            (np.add, np.minimum, np.maximum),
+            (0, np.iinfo(np.int64).max, np.iinfo(np.int64).min),
+        ):
+            want = np.full(len(lengths), empty, dtype=np.int64)
+            want[ne] = fn.reduceat(v, starts)
+            np.testing.assert_array_equal(got, want)

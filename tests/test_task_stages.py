@@ -93,8 +93,7 @@ def test_range_residual_is_its_own_operator(enc_dir):
 
 
 _ENCODE_ONLY_TAGS = {
-    "rc.p64", "rc.dflag", "rc.delig", "rc.dsel", "rc.resid", "rc.gdict",
-    "rc.ranks", "rc.narrow", "ic.split", "ic.narrow",
+    "rc.p64", "rc.dflag", "rc.resid", "rc.ranks", "rc.narrow", "ic.split", "ic.narrow",
 }
 
 
