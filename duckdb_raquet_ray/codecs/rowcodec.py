@@ -376,7 +376,7 @@ def stats_child(
     sums = np.zeros(rows, dtype=np.int64)
     mins = np.full(rows, np.iinfo(np.int64).max)
     maxs = np.full(rows, np.iinfo(np.int64).min)
-    r_max = np.zeros(rows, dtype=np.int64)  # per-row residual max, for the gate
+    r_max = np.zeros(rows, dtype=np.uint64)  # per-row residual max, for the gate
 
     def bucket_values(section: bytes, b: dict) -> np.ndarray:
         if b["code"] == DICT_CODE:
@@ -405,8 +405,8 @@ def stats_child(
         c = np.cumsum(sub, dtype=np.int64)
         sums[idx] = c[ends - 1] - np.where(starts > 0, c[starts - 1], 0)
         mins[idx] = np.minimum.reduceat(sub, starts).astype(np.int64)
-        mx = np.maximum.reduceat(sub, starts).astype(np.int64)
-        maxs[idx] = mx
+        mx = np.maximum.reduceat(sub, starts)
+        maxs[idx] = mx.astype(np.int64)
         r_max[idx] = mx
 
     bks = desc["buckets"]
@@ -426,10 +426,12 @@ def stats_child(
 
     # no-wrap gate: every reconstructed value = base + residual must stay
     # inside the non-negative signed range of the plane width for plain
-    # int64 arithmetic to equal the codec's modular reconstruction
+    # int64 arithmetic to equal the codec's modular reconstruction. Checked
+    # in unsigned arithmetic: a 64-bit plane's bound 2^63 does not fit int64
     ne = lengths > 0
-    limit = np.int64(1) << np.int64(8 * desc["pw"] - 1)
-    if ne.any() and int((base_i[ne] + r_max[ne]).max()) >= int(limit):
+    limit = np.uint64(1 << (8 * desc["pw"] - 1))
+    room = limit - np.minimum(bases[ne].astype(np.uint64), limit)
+    if (r_max[ne] >= room).any():
         return None
 
     out_sums = np.where(ne, base_i * lengths + sums, 0)

@@ -400,11 +400,7 @@ def cluster_balanced_sample(
             }
         )
 
-    return (
-        assign.map_batches(partial, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(cap, batch_format="pyarrow")
-    )
+    return util.bucketed(assign.map_batches(partial, batch_format="pyarrow"), "cluster", cap)
 
 
 def cluster_balanced_oracle_sql(

@@ -101,9 +101,6 @@ def _sum_by_key(
     over run boundaries (int64-exact, no float round-trip), optional
     HAVING-style ``min_sum`` filter. Shared by the sketch merge and the
     heavy-hitter verify reduce."""
-    empty = pa.table({key: pa.array([], pa.int64()), val: pa.array([], pa.int64())})
-    if g.num_rows == 0:
-        return empty
     k = g.column(key).to_numpy(zero_copy_only=False)
     v = g.column(val).to_numpy(zero_copy_only=False)
     order = np.argsort(k, kind="stable")
@@ -113,8 +110,6 @@ def _sum_by_key(
     keys = ks[starts]
     if min_sum is not None:
         keep = sums >= min_sum
-        if not keep.any():
-            return empty
         keys, sums = keys[keep], sums[keep]
     return pa.table({key: pa.array(keys, pa.int64()), val: pa.array(sums, pa.int64())})
 
@@ -155,11 +150,10 @@ def cms_registers(
     def reduce_bucket(g: pa.Table) -> pa.Table:
         return _sum_by_key(g, "cell", "cnt")
 
-    return (
-        util.clean_dataset(ds).map_batches(parts, batch_format="pyarrow", batch_size=16384)
-        .groupby("_b")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    partials = util.clean_dataset(ds).map_batches(
+        parts, batch_format="pyarrow", batch_size=16384
     )
+    return util.bucketed(partials, "_b", reduce_bucket)
 
 
 def cms_build(
@@ -262,14 +256,13 @@ def cms_heavy_hitters(
     def verify_bucket(g: pa.Table) -> pa.Table:
         return _sum_by_key(g, "token", "cnt", min_sum=thr)
 
-    return (
-        # same large-batch rule: candidate rows per batch saturate at the
-        # sketch-pruned candidate count, so bigger batches shrink the
-        # verify shuffle too
-        util.clean_dataset(ds).map_batches(cand_bucketed, batch_format="pyarrow", batch_size=16384)
-        .groupby("_b")
-        .map_groups(verify_bucket, batch_format="pyarrow")
+    # same large-batch rule: candidate rows per batch saturate at the
+    # sketch-pruned candidate count, so bigger batches shrink the verify
+    # shuffle too
+    cands = util.clean_dataset(ds).map_batches(
+        cand_bucketed, batch_format="pyarrow", batch_size=16384
     )
+    return util.bucketed(cands, "_b", verify_bucket)
 
 
 # ---------------------------------------------------------------------------

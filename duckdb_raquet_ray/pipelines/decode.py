@@ -64,14 +64,6 @@ def encoded_part_files(out_dir: str, partition_ids: list[int] | None = None) -> 
     return [os.path.join(out_dir, pk.part_file_name(p)) for p in pids]
 
 
-def _read_projection(columns: list[str] | None) -> list[str] | None:
-    """Parquet column selection for an encoded file: fixed columns + the
-    requested blobs (un-requested blobs are never read)."""
-    if columns is None:
-        return None
-    return list(enc.ENCODED_FIXED_COLS) + [f"col_{c}" for c in columns]
-
-
 class PartitionDecoder:
     """Decode stage, run as a task (util.map_stage, whose fusion barrier
     keeps it its own operator): one partition file per input row — read +
@@ -87,7 +79,7 @@ class PartitionDecoder:
         transform=None,
     ):
         self.columns = columns
-        self.read_cols = _read_projection(columns)
+        self.read_cols = enc.read_projection(columns)
         retain_heap()  # see encode.EncodeStage / util.retain_heap
         scratch.claim("decode")
         # compute pushdown: apply a batch transform to each decoded
@@ -328,7 +320,7 @@ def point_lookup(out_dir: str, pid: int, columns: list[str] | None = None) -> pa
     """Fetch + decode exactly one partition (driver-side, no Dataset):
     the read_raquet_at path — cheap because file naming is keyed."""
     path = os.path.join(out_dir, pk.part_file_name(pid))
-    t = pq.read_table(path, columns=_read_projection(columns))
+    t = pq.read_table(path, columns=enc.read_projection(columns))
     return enc.decode_rows(t, columns)
 
 
@@ -372,7 +364,7 @@ def export_job(
             name = os.path.basename(path)
             dest = os.path.join(dest_dir, name)
             if not os.path.exists(dest):
-                t = pq.read_table(path, columns=_read_projection(columns), use_threads=False)
+                t = pq.read_table(path, columns=enc.read_projection(columns), use_threads=False)
                 decoded = enc.decode_rows(t, columns)
                 fsio.publish_table(decoded, dest)
             done.append({"file": name})

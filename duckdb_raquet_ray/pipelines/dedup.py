@@ -45,23 +45,6 @@ def _content_hash(batch: pa.Table, text_col: str) -> pa.Table:
     return batch.append_column("_h", pa.array(h.astype(np.uint64)))
 
 
-# The wide steps shuffle on a COARSE bucket key and do the fine-grained
-# grouping vectorized in pandas INSIDE each bucket: Ray's
-# groupby().map_groups pays per-group overhead, so grouping by a
-# high-cardinality key (content hash, band hash) directly costs ~0.5ms x
-# millions of groups. Bucketing keeps the shuffle payload identical and the
-# result unchanged (a full group always lands in one bucket). The bucket
-# COUNT is corpus-scaled (util.scaled_buckets: ceil(bytes/target), capped)
-# so per-bucket in-memory reduce work stays ~constant at any corpus size —
-# a fixed 256 would make each bucket O(corpus/256); when the input size is
-# unknowable from plan metadata, scaled_buckets falls back to 256 (the
-# historical constant).
-#
-# Group UDFs are ARROW in / ARROW out with an explicit uniform schema:
-# returning pandas frames from map_groups hits a per-group block-building
-# slow path in Ray (measured 25x slower than emitting pa.Tables).
-
-
 def exact_dedup(
     ds: rd.Dataset,
     text_col: str = "text",
@@ -75,8 +58,6 @@ def exact_dedup(
     nb = n_buckets or util.scaled_buckets(ds)
 
     def keep_first(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return g  # empty groupby partition: 0-col block, consumer skips it
         df = g.select([text_col, key_col]).to_pandas()
         # dropna=False: null-text rows form their own group and are kept —
         # pandas' default silently DELETED every null-text document
@@ -90,7 +71,7 @@ def exact_dedup(
         return t.append_column("_b", pa.array(bucket))
 
     hashed = util.clean_dataset(ds).map_batches(bucketed, batch_format="pyarrow", batch_size=8192)
-    return hashed.groupby("_b").map_groups(keep_first, batch_format="pyarrow")
+    return util.bucketed(hashed, "_b", keep_first)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +304,6 @@ def minhash_candidate_pairs(
     def pairs(g: pa.Table) -> pa.Table:
         # vectorized within the bucket: anchor = min key per LSH cell;
         # every other member pairs with its anchor
-        if g.num_columns == 0 or g.num_rows == 0:
-            return g  # empty groupby partition: 0-col block, consumer skips it
         df = g.to_pandas()
         anchors = df.groupby(["band_id", "band_hash"])[key_col].transform("min")
         mask = (df[key_col] != anchors).to_numpy()
@@ -334,11 +313,7 @@ def minhash_candidate_pairs(
         kt = g.schema.field(key_col).type
         return pa.table({"a": pa.array(out["a"], type=kt), "b": pa.array(out["b"], type=kt)})
 
-    return (
-        band_rows.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
+    return util.bucketed(band_rows.map_batches(add_bucket, batch_format="pyarrow"), "_b", pairs)
 
 
 def jaccard(text_a: str, text_b: str, k: int = 5) -> float:
@@ -474,8 +449,6 @@ def _minhash_verified_edges_ds(
     )
 
     def dedup_pairs(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or t.num_rows == 0:
-            return t  # empty candidate-bucket block passes through harmlessly
         keep = pc.not_equal(t.column("a"), t.column("b"))
         return t.filter(keep)
 
@@ -490,8 +463,6 @@ def _minhash_verified_edges_ds(
     kt = pairs_ds.schema().base_schema.field("a").type
 
     def tag_pairs(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty_verify_table(kt)
         return pa.table(
             {
                 "_vb": pa.array(_verify_buckets(t.column("a"), n_vb)),
@@ -508,10 +479,6 @@ def _minhash_verified_edges_ds(
         """Pairs -> (key, verify bucket) NEED rows, batch-locally deduped
         (pairs sharing an anchor cluster in one batch, so most duplicate
         needs collapse here; the rest collapse in the fetch bucket)."""
-        if t.num_rows == 0:
-            return pa.table(
-                {"key": pa.array([], kt), "_vb": pa.array([], pa.int32())}
-            )
         vb = _verify_buckets(t.column("a"), n_vb)
         df = pd.DataFrame(
             {
@@ -565,8 +532,6 @@ def _minhash_verified_edges_ds(
         """One fetch bucket: all NEED rows and all corpus rows whose key
         hashes here — emit each needed key's text once per distinct
         verify bucket referencing it."""
-        if g.num_rows == 0:
-            return _empty_verify_table(kt)
         kinds = np.asarray(g.column("kind"))
         nrows = g.filter(pa.array(kinds == 0))
         if nrows.num_rows == 0:
@@ -590,25 +555,13 @@ def _minhash_verified_edges_ds(
             }
         )
 
-    def norm_empty(t: pa.Table) -> pa.Table:
-        # empty groupby partitions emit 0-col blocks; the union needs the
-        # canonical verify-table schema
-        return _empty_verify_table(kt) if t.num_columns == 0 else t
-
-    cand_texts = (
-        fetch_in.groupby("_fb")
-        .map_groups(fetch_bucket, batch_format="pyarrow")
-        .map_batches(norm_empty, batch_format="pyarrow")
-    )
-
+    cand_texts = util.bucketed(fetch_in, "_fb", fetch_bucket)
     tagged = pairs_ds.map_batches(tag_pairs, batch_format="pyarrow").union(cand_texts)
 
     def verify_group(g: pa.Table) -> pa.Table:
         """One verify bucket: exact n-gram Jaccard of its pairs against its
         (bucket-local) text slice; shingle sets memoized per bucket since
         LSH pairs share anchors."""
-        if g.num_columns == 0 or g.num_rows == 0:
-            return _empty_verify_table(kt)
         kinds = np.asarray(g.column("kind"))
         trows = g.filter(pa.array(kinds == 1))
         prows = g.filter(pa.array(kinds == 0))
@@ -663,18 +616,7 @@ def _minhash_verified_edges_ds(
             cols["sim_micro"] = pa.array(sc, pa.int64())
         return pa.table(cols)
 
-    verified = tagged.groupby("_vb").map_groups(verify_group, batch_format="pyarrow")
-
-    def norm_edges(t: pa.Table) -> pa.Table:
-        # empty groupby partitions emit 0-col blocks; pin the edge schema
-        if not t.num_columns:
-            cols = {"a": pa.array([], kt), "b": pa.array([], kt)}
-            if emit_score:
-                cols["sim_micro"] = pa.array([], pa.int64())
-            return pa.table(cols)
-        return t
-
-    return verified.map_batches(norm_edges, batch_format="pyarrow"), kt
+    return util.bucketed(tagged, "_vb", verify_group), kt
 
 
 def _minhash_verified_pairs(
@@ -829,8 +771,6 @@ def ngram_candidate_pairs(
     kt = ds.schema().base_schema.field(key_col).type
 
     def bucket_pairs(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"a": pa.array([], kt), "b": pa.array([], kt)})
         df = g.select(["h", "k"]).to_pandas()
         cnt = df["h"].map(df["h"].value_counts())
         df = df[(cnt >= 2) & (cnt <= max_df)]
@@ -845,12 +785,8 @@ def ngram_candidate_pairs(
             }
         )
 
-    return (
-        util.clean_dataset(ds)
-        .map_batches(gram_rows, batch_format="pyarrow", batch_size=4096)
-        .groupby("_b")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
+    grams = util.clean_dataset(ds).map_batches(gram_rows, batch_format="pyarrow", batch_size=4096)
+    return util.bucketed(grams, "_b", bucket_pairs)
 
 
 def jaccard_dedup(
@@ -1062,16 +998,7 @@ def minhash_pairs_scored(
 
     def dedup_rows(t: pa.Table) -> pa.Table:
         # the same (a, b) can verify in multiple buckets; scores agree,
-        # keep one. Empty groupby partitions emit 0-col blocks: pin the
-        # schema (the norm_edges discipline).
-        if t.num_columns == 0 or t.num_rows == 0:
-            return pa.table(
-                {
-                    "a": pa.array([], kt),
-                    "b": pa.array([], kt),
-                    "sim_micro": pa.array([], pa.int64()),
-                }
-            )
+        # keep one
         df = t.to_pandas().drop_duplicates(subset=["a", "b"])
         return pa.table(
             {
@@ -1090,11 +1017,7 @@ def minhash_pairs_scored(
             "_b", pa.array(joins._bucket_ids(t.column("a"), nb))
         )
 
-    return (
-        verified.map_batches(add_b, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(dedup_rows, batch_format="pyarrow")
-    )
+    return util.bucketed(verified.map_batches(add_b, batch_format="pyarrow"), "_b", dedup_rows)
 
 
 def minhash_pairs_oracle_sql(
@@ -1244,8 +1167,6 @@ def label_propagate_min(
         """Edges -> both directions, bucketed on hash(u) (the label-source
         end) so one groupby co-locates each node's label with every edge
         it must push that label across."""
-        if t.num_rows == 0:
-            return empty_prop
         u = pa.concat_arrays([_c(t.column("a")), _c(t.column("b"))])
         v = pa.concat_arrays([_c(t.column("b")), _c(t.column("a"))])
         return pa.table(
@@ -1261,19 +1182,12 @@ def label_propagate_min(
     # the edge topology is re-shuffled every round: materialize once
     sym = edges_ds.map_batches(to_sym, batch_format="pyarrow").materialize()
 
-    def norm_lab(t: pa.Table) -> pa.Table:
-        return empty_lab if t.num_columns == 0 else t
-
     def tag_node(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty_lab.append_column("_mb", pa.array([], pa.int32()))
         return t.append_column(
             "_mb", pa.array(_verify_buckets(t.column("node"), nb))
         )
 
     def min_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty_lab
         df = pa.table(
             {"node": _c(g.column("node")), "lab": _c(g.column("lab"))}
         ).to_pandas()
@@ -1286,14 +1200,10 @@ def label_propagate_min(
         )
 
     def init_labels(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty_lab
         u = _c(t.column("u"))
         return pa.table({"node": u, "lab": u})
 
     def pad_labels(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty_prop
         n = _c(t.column("node"))
         return pa.table(
             {
@@ -1310,8 +1220,6 @@ def label_propagate_min(
         labels(labels(v)) from emit_msgs, collapsing label chains
         logarithmically. Self-labels (lab==node) are dropped — they would
         only echo the node's own label back."""
-        if t.num_rows == 0:
-            return empty_prop
         keep = pc.invert(pc.equal(t.column("node"), t.column("lab")))
         t = t.filter(keep)
         if t.num_rows == 0:
@@ -1330,8 +1238,6 @@ def label_propagate_min(
     def emit_msgs(g: pa.Table) -> pa.Table:
         """One u-bucket: join labels(u) onto edges (u, v) -> messages
         (v, labels(u))."""
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty_lab
         kinds = np.asarray(g.column("kind"))
         lab_rows = g.filter(pa.array(kinds == 1))
         edge_rows = g.filter(pa.array(kinds == 0))
@@ -1355,10 +1261,6 @@ def label_propagate_min(
 
     def fp_partial(t: pa.Table) -> pa.Table:
         """Per-block (fingerprint, row-count) partial of the label set."""
-        if t.num_rows == 0:
-            return pa.table(
-                {"fp": pa.array([0], pa.uint64()), "n": pa.array([0], pa.int64())}
-            )
         joined = pc.binary_join_element_wise(
             _c(t.column("node")).cast(pa.string()),
             _c(t.column("lab")).cast(pa.string()),
@@ -1386,15 +1288,10 @@ def label_propagate_min(
     # TRIPLE per round (union of msgs+labels+shortcut) — exponential
     # scheduling overhead by round ~6. repartition(nb) pins the round
     # state at nb blocks; nb is corpus-scaled, so block size stays sane.
-    labels = (
-        sym.map_batches(init_labels, batch_format="pyarrow")
-        .map_batches(tag_node, batch_format="pyarrow")
-        .groupby("_mb")
-        .map_groups(min_bucket, batch_format="pyarrow")
-        .map_batches(norm_lab, batch_format="pyarrow")
-        .repartition(nb)
-        .materialize()
+    tagged = sym.map_batches(init_labels, batch_format="pyarrow").map_batches(
+        tag_node, batch_format="pyarrow"
     )
+    labels = util.bucketed(tagged, "_mb", min_bucket).repartition(nb).materialize()
     import os as _os
     import time as _time
 
@@ -1402,24 +1299,13 @@ def label_propagate_min(
     prev = _fingerprint(labels)
     for _rnd in range(max_rounds):
         _t0 = _time.time()
-        msgs = (
-            sym.union(
-                labels.map_batches(pad_labels, batch_format="pyarrow"),
-                labels.map_batches(shortcut_edges, batch_format="pyarrow"),
-            )
-            .groupby("_b")
-            .map_groups(emit_msgs, batch_format="pyarrow")
-            .map_batches(norm_lab, batch_format="pyarrow")
+        props = sym.union(
+            labels.map_batches(pad_labels, batch_format="pyarrow"),
+            labels.map_batches(shortcut_edges, batch_format="pyarrow"),
         )
-        labels = (
-            msgs.union(labels)
-            .map_batches(tag_node, batch_format="pyarrow")
-            .groupby("_mb")
-            .map_groups(min_bucket, batch_format="pyarrow")
-            .map_batches(norm_lab, batch_format="pyarrow")
-            .repartition(nb)
-            .materialize()
-        )
+        msgs = util.bucketed(props, "_b", emit_msgs)
+        tagged = msgs.union(labels).map_batches(tag_node, batch_format="pyarrow")
+        labels = util.bucketed(tagged, "_mb", min_bucket).repartition(nb).materialize()
         cur = _fingerprint(labels)
         if _dbg:
             print(
@@ -1550,15 +1436,12 @@ def simhash_dedup(
         return t.append_column("_b", pa.array(bucket))
 
     def keep_first(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return g  # empty groupby partition: 0-col block, consumer skips it
         df = g.select(["simhash", key_col]).to_pandas()
         idx = df.groupby("simhash", sort=True)[key_col].idxmin()
         keep = np.sort(idx.to_numpy())
         return g.take(pa.array(keep)).drop_columns(["simhash", "_b"])
 
-    fp = ds.map_batches(bucketed, batch_format="pyarrow")
-    return fp.groupby("_b").map_groups(keep_first, batch_format="pyarrow")
+    return util.bucketed(ds.map_batches(bucketed, batch_format="pyarrow"), "_b", keep_first)
 
 
 # ---------------------------------------------------------------------------
@@ -1610,8 +1493,6 @@ def embedding_dedup(
     nb = n_buckets or util.scaled_buckets(ds)
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("_bucket", pa.array([], type=pa.int64()))
         arr = batch.column(vec_col)
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
@@ -1625,9 +1506,7 @@ def embedding_dedup(
 
     def dedup_shuffle_bucket(part: pa.Table) -> pa.Table:
         # one coarse shuffle bucket may hold many LSH cells; dedup each
-        # cell independently (identical semantics to per-cell map_groups)
-        if part.num_columns == 0 or part.num_rows == 0:
-            return part  # empty groupby partition: 0-col block
+        # cell independently (identical semantics to a per-cell shuffle)
         df = pd.DataFrame(
             {
                 "_bucket": part.column("_bucket").to_pandas(),
@@ -1635,15 +1514,11 @@ def embedding_dedup(
                 "_pos": np.arange(part.num_rows),
             }
         )
-        dim = len(part.column(vec_col)[0]) if part.num_rows else 0
+        dim = len(part.column(vec_col)[0])
         vecs = part.column(vec_col)
         if isinstance(vecs, pa.ChunkedArray):
             vecs = vecs.combine_chunks()
-        mat = (
-            vecs.flatten().to_numpy(zero_copy_only=False).astype(np.float64).reshape(-1, dim)
-            if part.num_rows
-            else np.zeros((0, 0))
-        )
+        mat = vecs.flatten().to_numpy(zero_copy_only=False).astype(np.float64).reshape(-1, dim)
         keep_pos: list[int] = []
         for _, g in df.groupby("_bucket", sort=True):
             g = g.sort_values(key_col)
@@ -1673,7 +1548,7 @@ def embedding_dedup(
         ),
         batch_format="pyarrow",
     )
-    return bucketed.groupby("_sb").map_groups(dedup_shuffle_bucket, batch_format="pyarrow")
+    return util.bucketed(bucketed, "_sb", dedup_shuffle_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -2005,8 +1880,7 @@ def embedding_dedup_int8(
         return _int8_drop_keys(g, key_col, pct)
 
     tagged = util.clean_dataset(ds).map_batches(tag, batch_format="pyarrow")
-    verified = tagged.groupby("_eb").map_groups(in_bucket, batch_format="pyarrow")
-    return _filter_drop_keys(ds, verified, key_col)
+    return _filter_drop_keys(ds, util.bucketed(tagged, "_eb", in_bucket), key_col)
 
 
 def _int8_drop_keys(g: pa.Table, key_col: str, pct: int) -> pa.Table:
@@ -2016,8 +1890,6 @@ def _int8_drop_keys(g: pa.Table, key_col: str, pct: int) -> pa.Table:
     — order-independent, so partitioning cannot change the result.
     Integer bound: dim <= 1880 keeps dot^2 * 10^4 inside int64
     (127^4 * dim^2 * 10^4 < 2^63); larger dims raise loudly below."""
-    if g.num_columns == 0:
-        return g  # empty groupby partition: 0-col block, consumer skips it
     k = g.column(key_col).to_numpy(zero_copy_only=False)
     if len(k) < 2:
         return pa.table({"drop_key": pa.array([], g.column(key_col).type)})
@@ -2235,15 +2107,6 @@ def semantic_dedup_int8(
     def tag(batch: pa.Table) -> pa.Table:
         cm = ray.get(c_ref)
         q8 = ann_int8(batch, vec_col)
-        if len(q8) == 0:
-            return pa.table(
-                {
-                    "_cl": pa.array([], pa.int32()),
-                    key_col: batch.column(key_col),
-                    "n2": pa.array([], pa.int64()),
-                    "q8": pa.array([], pa.list_(pa.int8())),
-                }
-            )
         dots = q8 @ cm.T
         cl = np.argmax(dots, axis=1).astype(np.int32)  # first max = lowest ci
         return pa.table(
@@ -2258,11 +2121,7 @@ def semantic_dedup_int8(
     def in_cluster(g: pa.Table) -> pa.Table:
         return _int8_drop_keys(g, key_col, pct)
 
-    verified = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_cl")
-        .map_groups(in_cluster, batch_format="pyarrow")
-    )
+    verified = util.bucketed(ds.map_batches(tag, batch_format="pyarrow"), "_cl", in_cluster)
     return _filter_drop_keys(ds, verified, key_col)
 
 
@@ -2673,28 +2532,19 @@ def incremental_minhash_dedup(
         batch_size=4096,
     )
     nb = util.scaled_buckets(fresh)
-    fresh_kt = fresh.schema().base_schema.field(key_col).type
 
     def add_bucket(t: pa.Table) -> pa.Table:
         bucket = (t.column("band_hash").to_numpy() % nb).astype(np.int32)
         return t.append_column("_b", pa.array(bucket))
 
     def cell_drops(g: pa.Table) -> pa.Table:
-        # guard FIRST: an empty groupby partition arrives as a 0-column
-        # block, where g.schema.field(key_col) itself raises
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table({"drop_key": pa.array([], fresh_kt)})
         kt = g.schema.field(key_col).type
         df = g.select(["band_id", "band_hash", key_col]).to_pandas()
         anchors = df.groupby(["band_id", "band_hash"])[key_col].transform("min")
         dropped = df.loc[(df[key_col] != anchors), key_col].drop_duplicates()
         return pa.table({"drop_key": pa.array(dropped.to_numpy(), type=kt)})
 
-    drops = (
-        band.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(cell_drops, batch_format="pyarrow")
-    )
+    drops = util.bucketed(band.map_batches(add_bucket, batch_format="pyarrow"), "_b", cell_drops)
     kept = _filter_drop_keys(fresh, drops, key_col).materialize()
 
     if update_index:
@@ -2832,14 +2682,7 @@ def line_dedup(
         return _explode_lines(t, text_col, key_col, nb)
 
     def first_wins(g: pa.Table) -> pa.Table:
-        # key type follows the group's own schema (ADVICE: never hardcode
-        # the key type in an empty-group guard)
-        kt = g.schema.field("k").type if g.num_columns else pa.string()
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table(
-                {"k": pa.array([], kt), "i": pa.array([], pa.int64()),
-                 "line": pa.array([], pa.string()), "_b2": pa.array([], pa.int32())}
-            )
+        kt = g.schema.field("k").type
         df = g.select(["k", "i", "line"]).to_pandas()
         df = df.sort_values(["line", "k", "i"], kind="mergesort")
         df = df[~df["line"].duplicated(keep="first")]
@@ -2857,11 +2700,7 @@ def line_dedup(
         )
 
     def reassemble(g: pa.Table) -> pa.Table:
-        kt = g.schema.field("k").type if g.num_columns else pa.string()
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table(
-                {key_col: pa.array([], kt), text_col: pa.array([], pa.string())}
-            )
+        kt = g.schema.field("k").type
         df = g.select(["k", "i", "line"]).to_pandas()
         df = df.sort_values(["k", "i"], kind="mergesort")
         joined = df.groupby("k", sort=True)["line"].agg("\n".join)
@@ -2875,8 +2714,7 @@ def line_dedup(
     lines = util.clean_dataset(ds).map_batches(
         explode, batch_format="pyarrow", batch_size=8192
     )
-    kept = lines.groupby("_b").map_groups(first_wins, batch_format="pyarrow")
-    return kept.groupby("_b2").map_groups(reassemble, batch_format="pyarrow")
+    return util.bucketed(util.bucketed(lines, "_b", first_wins), "_b2", reassemble)
 
 
 def line_dedup_oracle_sql(
@@ -2985,11 +2823,6 @@ def corpus_diff(
     )
 
     def classify(g: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {key_col: pa.array([], kt), "status": pa.array([], pa.string())}
-        )
-        if g.num_rows == 0:
-            return empty
         k = g.column(key_col).to_numpy(zero_copy_only=False)
         h1 = g.column("_h1").to_numpy(zero_copy_only=False)
         h2 = g.column("_h2").to_numpy(zero_copy_only=False)
@@ -3023,4 +2856,4 @@ def corpus_diff(
             {key_col: pa.array(keys, type=kt), "status": pa.array(status, pa.string())}
         )
 
-    return both.groupby("_b").map_groups(classify, batch_format="pyarrow")
+    return util.bucketed(both, "_b", classify)

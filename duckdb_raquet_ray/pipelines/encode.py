@@ -729,6 +729,14 @@ class PartitionDeleter(EncodeStage):
         return self.results(rows)
 
 
+def _key_plane(out_dir: str, pid: int, key_col: str) -> pa.ChunkedArray:
+    """Decoded `key_col` of one partition file, reading only that column's
+    blob (delete_job's column-pruned key-plane probe)."""
+    path = os.path.join(out_dir, pk.part_file_name(pid))
+    t = pq.read_table(path, columns=enc.read_projection([key_col]), use_threads=False)
+    return enc.decode_rows(t, columns=[key_col]).column(key_col)
+
+
 def delete_job(
     out_dir: str,
     keys,
@@ -837,11 +845,7 @@ def delete_job(
 
         hits = []
         for item in batch.to_pylist():
-            path = os.path.join(out_dir, pk.part_file_name(int(item["pid"])))
-            t = enc.decode_rows(
-                pq.read_table(path, use_threads=False), columns=[key_col]
-            )
-            col = t.column(key_col)
+            col = _key_plane(out_dir, int(item["pid"]), key_col)
             if pc.any(pc.is_in(col, value_set=_key_values(keys_ref, col.type))).as_py():
                 hits.append({"pid": int(item["pid"])})
         return pa.Table.from_pylist(

@@ -149,14 +149,6 @@ def _pair_partial(t: pa.Table) -> pa.Table:
     """Per-block (src, dst, w) partial counts (pandas C groupby)."""
     import pandas as pd
 
-    if t.num_rows == 0:
-        return pa.table(
-            {
-                "src": pa.array([], pa.string()),
-                "dst": pa.array([], pa.string()),
-                "w": pa.array([], pa.int64()),
-            }
-        )
     df = t.select(["src", "dst"]).to_pandas()
     g = df.groupby(["src", "dst"], sort=False).size().reset_index(name="w")
     return pa.table(
@@ -241,15 +233,6 @@ def domain_pagerank(
         """All rows for this bucket's srcs: exact weights + out-degrees."""
         import pandas as pd
 
-        if g.num_rows == 0:
-            return pa.table(
-                {
-                    "src": pa.array([], pa.string()),
-                    "dst": pa.array([], pa.string()),
-                    "w": pa.array([], pa.int64()),
-                    "ww": pa.array([], pa.int64()),
-                }
-            )
         df = g.select(["src", "dst", "w"]).to_pandas()
         agg = df.groupby(["src", "dst"], sort=False)["w"].sum().reset_index()
         ww = agg.groupby("src", sort=False)["w"].transform("sum")
@@ -262,13 +245,10 @@ def domain_pagerank(
             }
         )
 
-    ew = (
-        edges.map_batches(_pair_partial, batch_format="pyarrow")
-        .map_batches(add_src_bucket, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(finalize_bucket, batch_format="pyarrow")
-        .materialize()
+    pairs = edges.map_batches(_pair_partial, batch_format="pyarrow").map_batches(
+        add_src_bucket, batch_format="pyarrow"
     )
+    ew = util.bucketed(pairs, "_b", finalize_bucket).materialize()
 
     empty = pa.table(
         {"domain": pa.array([], pa.string()), "rank": pa.array([], pa.int64())}
@@ -292,12 +272,9 @@ def domain_pagerank(
     def distinct_bucket(g: pa.Table) -> pa.Table:
         return pa.table({"v": g.column("v").combine_chunks().unique()})
 
-    nodes = (
-        ew.map_batches(node_rows, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(distinct_bucket, batch_format="pyarrow")
-        .materialize()
-    )
+    nodes = util.bucketed(
+        ew.map_batches(node_rows, batch_format="pyarrow"), "_b", distinct_bucket
+    ).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
         return rd.from_arrow(empty)
@@ -319,10 +296,6 @@ def domain_pagerank(
         """Inner-joined (edge, rank) rows -> per-block (dst, c) partials."""
         import pandas as pd
 
-        if t.num_rows == 0:
-            return pa.table(
-                {"dst": pa.array([], pa.string()), "c": pa.array([], pa.int64())}
-            )
         r = t.column("r").to_numpy(zero_copy_only=False).astype(np.int64)
         w = t.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
         ww = t.column("ww").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -342,10 +315,6 @@ def domain_pagerank(
     def sum_bucket(g: pa.Table) -> pa.Table:
         import pandas as pd
 
-        if g.num_rows == 0:
-            return pa.table(
-                {"dst": pa.array([], pa.string()), "c": pa.array([], pa.int64())}
-            )
         df = g.select(["dst", "c"]).to_pandas()
         agg = df.groupby("dst", sort=False)["c"].sum().reset_index()
         return pa.table(
@@ -364,12 +333,10 @@ def domain_pagerank(
             right_cols=["r"],
             n_buckets=nb,
         )
-        csum = (
-            joined.map_batches(contrib, batch_format="pyarrow")
-            .map_batches(add_dst_bucket, batch_format="pyarrow")
-            .groupby("_b")
-            .map_groups(sum_bucket, batch_format="pyarrow")
+        parts = joined.map_batches(contrib, batch_format="pyarrow").map_batches(
+            add_dst_bucket, batch_format="pyarrow"
         )
+        csum = util.bucketed(parts, "_b", sum_bucket)
         with_c = hash_join(
             nodes,
             csum,

@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions import detmix
-from ..util import default_concurrency
+from ..util import bucketed, default_concurrency
 
 N_JOIN_BUCKETS = 256
 
@@ -421,8 +421,6 @@ def asof_join(
         lambda b: pad(b, all_names + ["_b"], 0), batch_format="pyarrow")
 
     def merge(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table({n: pa.nulls(0, type=_SCHEMA_CACHE[n]) for n in out_names})
         side = g.column("_side").to_numpy(zero_copy_only=False)
         lmask, rmask = side == 1, side == 0
         lg = g.filter(pa.array(lmask))
@@ -445,18 +443,7 @@ def asof_join(
                 cols[n] = rg.column(n).take(idx)
         return pa.table(cols)
 
-    def norm_empty(t: pa.Table) -> pa.Table:
-        # empty groupby partitions emit 0-col blocks; pin the join schema
-        if t.num_columns == 0:
-            return pa.table({n: pa.nulls(0, type=_SCHEMA_CACHE[n]) for n in out_names})
-        return t
-
-    return (
-        lt.union(rt)
-        .groupby("_b")
-        .map_groups(merge, batch_format="pyarrow")
-        .map_batches(norm_empty, batch_format="pyarrow")
-    )
+    return bucketed(lt.union(rt), "_b", merge)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +569,6 @@ def hash_join(
     rt = right.map_batches(lambda b: pad(b, 0), batch_format="pyarrow")
 
     def merge(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table({n: pa.nulls(0, type=schema_types[n]) for n in out_names})
         side = g.column("_side").to_numpy(zero_copy_only=False)
         lg = g.filter(pa.array(side == 1))
         rg = g.filter(pa.array(side == 0))
@@ -663,22 +648,7 @@ def hash_join(
             out = pa.concat_tables(parts)
         return out
 
-    out_cols = l_cols if how in ("semi", "anti") else out_names
-
-    def norm_empty(t: pa.Table) -> pa.Table:
-        # groupby partitions holding no groups emit ZERO-COLUMN blocks;
-        # pin them to the join's output schema so downstream unions /
-        # map_batches never see schema drift
-        if t.num_columns == 0:
-            return pa.table({n: pa.nulls(0, type=schema_types[n]) for n in out_cols})
-        return t
-
-    return (
-        lt.union(rt)
-        .groupby("_b")
-        .map_groups(merge, batch_format="pyarrow")
-        .map_batches(norm_empty, batch_format="pyarrow")
-    )
+    return bucketed(lt.union(rt), "_b", merge)
 
 
 # ---------------------------------------------------------------------------
@@ -761,17 +731,7 @@ def session_windows(
         })
         return cols.append_column("_b", pa.array(_bucket_ids(b.column(key_col), n_buckets)))
 
-    kt = ds.schema().base_schema.field(key_col).type
-
     def sessionize(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table({
-                key_col: pa.array([], kt),
-                "session_id": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-                "start_us": pa.array([], pa.int64()),
-                "end_us": pa.array([], pa.int64()),
-            })
         k = g.column(key_col).to_numpy(zero_copy_only=False)
         t = g.column("_ts").to_numpy(zero_copy_only=False)
         tie = g.column("_tie").to_numpy(zero_copy_only=False)
@@ -798,11 +758,7 @@ def session_windows(
             "end_us": pa.array(ts_[ends - 1], type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(sessionize, batch_format="pyarrow")
-    )
+    return bucketed(ds.map_batches(bucket, batch_format="pyarrow"), "_b", sessionize)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -852,13 +808,6 @@ def cumulative_window(
         return cols.append_column("_b", pa.array(_bucket_ids(b.column(key_col), n_buckets)))
 
     def accumulate(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({
-                order_tie_col: pa.array([], pa.int64()),
-                key_col: pa.array([], pa.int64()),
-                "cum_n": pa.array([], pa.int64()),
-                "cum_value_micro": pa.array([], pa.int64()),
-            })
         k = g.column(key_col).to_numpy(zero_copy_only=False)
         t = g.column("_ts").to_numpy(zero_copy_only=False)
         tie = g.column("_tie").to_numpy(zero_copy_only=False)
@@ -882,11 +831,7 @@ def cumulative_window(
             "cum_value_micro": pa.array(cum_v, type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(accumulate, batch_format="pyarrow")
-    )
+    return bucketed(ds.map_batches(bucket, batch_format="pyarrow"), "_b", accumulate)
 
 
 def cumulative_window_oracle_sql(
@@ -948,13 +893,6 @@ def rolling_window(
         return cols.append_column("_b", pa.array(_bucket_ids(b.column(key_col), n_buckets)))
 
     def accumulate(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({
-                order_tie_col: pa.array([], pa.int64()),
-                key_col: pa.array([], pa.int64()),
-                "roll_n": pa.array([], pa.int64()),
-                "roll_value_micro": pa.array([], pa.int64()),
-            })
         k = g.column(key_col).to_numpy(zero_copy_only=False)
         t = g.column("_ts").to_numpy(zero_copy_only=False)
         tie = g.column("_tie").to_numpy(zero_copy_only=False)
@@ -976,11 +914,7 @@ def rolling_window(
             "roll_value_micro": pa.array(cs0[idx + 1] - cs0[start], type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(accumulate, batch_format="pyarrow")
-    )
+    return bucketed(ds.map_batches(bucket, batch_format="pyarrow"), "_b", accumulate)
 
 
 def rolling_window_oracle_sql(
@@ -1042,13 +976,6 @@ def rolling_time_window(
         return cols.append_column("_b", pa.array(_bucket_ids(b.column(key_col), n_buckets)))
 
     def accumulate(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({
-                order_tie_col: pa.array([], pa.int64()),
-                key_col: pa.array([], pa.int64()),
-                "range_n": pa.array([], pa.int64()),
-                "range_value_micro": pa.array([], pa.int64()),
-            })
         k = g.column(key_col).to_numpy(zero_copy_only=False)
         t = g.column("_ts").to_numpy(zero_copy_only=False)
         tie = g.column("_tie").to_numpy(zero_copy_only=False)
@@ -1085,11 +1012,7 @@ def rolling_time_window(
             ),
         })
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(accumulate, batch_format="pyarrow")
-    )
+    return bucketed(ds.map_batches(bucket, batch_format="pyarrow"), "_b", accumulate)
 
 
 def rolling_time_oracle_sql(
@@ -1133,13 +1056,6 @@ def lag_gap_window(
         return cols.append_column("_b", pa.array(_bucket_ids(b.column(key_col), n_buckets)))
 
     def gaps(g: pa.Table) -> pa.Table:
-        empty = pa.table({
-            order_tie_col: pa.array([], pa.int64()),
-            key_col: pa.array([], pa.int64()),
-            "gap_us": pa.array([], pa.int64()),
-        })
-        if g.num_rows == 0:
-            return empty
         k = g.column(key_col).to_numpy(zero_copy_only=False)
         t = g.column("_ts").to_numpy(zero_copy_only=False)
         tie = g.column("_tie").to_numpy(zero_copy_only=False)
@@ -1158,11 +1074,7 @@ def lag_gap_window(
             "gap_us": pa.array(gap, type=pa.int64(), mask=first),
         })
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(gaps, batch_format="pyarrow")
-    )
+    return bucketed(ds.map_batches(bucket, batch_format="pyarrow"), "_b", gaps)
 
 
 def lag_gap_oracle_sql(

@@ -169,15 +169,6 @@ def packed_window_stats(
     items = rd.from_items(plan, override_num_blocks=max(len(plan), 1))
 
     def merge(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            # empty groupby partitions emit 0-col blocks; pin the schema
-            return pa.table(
-                {
-                    "window_id": pa.array([], pa.int64()),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "checksum": pa.array([], pa.int64()),
-                }
-            )
         # Arrow out (see stages/stats.py._combine_and_finalize)
         df = group.select(["window_id", "n_tokens", "checksum"]).to_pandas()
         g = df.groupby("window_id", sort=True).sum()
@@ -189,11 +180,8 @@ def packed_window_stats(
             }
         )
 
-    return (
-        items.map_batches(shard_partials, batch_format="pyarrow", batch_size=1)
-        .groupby("_b")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    partials = items.map_batches(shard_partials, batch_format="pyarrow", batch_size=1)
+    return util.bucketed(partials, "_b", merge)
 
 
 def _complete_span(base: int, n: int, window: int, corpus_total: int) -> tuple[int, int]:
@@ -451,18 +439,7 @@ def pack_windows(
             }
         )
 
-    def norm_empty(t: pa.Table) -> pa.Table:
-        # groupby partitions holding no groups emit ZERO-COLUMN blocks;
-        # unioned with the complete stream they trip Ray's schema-drift
-        # warning — pin them to the canonical (window_id, tokens) schema
-        return empty_out if t.num_columns == 0 else t
-
-    stitched = (
-        pieces.groupby("_b")
-        .map_groups(merge, batch_format="pyarrow")
-        .map_batches(norm_empty, batch_format="pyarrow")
-    )
-    return complete.union(stitched)
+    return complete.union(util.bucketed(pieces, "_b", merge))
 
 
 def window_doc_spans(
@@ -534,16 +511,6 @@ def window_doc_spans(
         )
 
     def finalize(g: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "window_id": pa.array([], pa.int64()),
-                "n_segs": pa.array([], pa.int64()),
-                "seg_lens": pa.array([], pa.large_list(pa.int32())),
-                "spans_checksum": pa.array([], pa.int64()),
-            }
-        )
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty
         w = g.column("window_id").to_numpy(zero_copy_only=False)
         lo = g.column("seg_start").to_numpy(zero_copy_only=False)
         ln = g.column("seg_len").to_numpy(zero_copy_only=False)
@@ -568,8 +535,4 @@ def window_doc_spans(
             }
         )
 
-    return (
-        items.map_batches(shard_segs, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(finalize, batch_format="pyarrow")
-    )
+    return util.bucketed(items.map_batches(shard_segs, batch_format="pyarrow"), "_b", finalize)

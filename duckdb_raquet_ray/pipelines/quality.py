@@ -290,10 +290,6 @@ def global_word_df(
         # all partials for a word land in THIS bucket: the sum is its
         # exact global df, and the per-bucket cap keeps every global
         # top_n candidate (see docstring)
-        if g.num_rows == 0:
-            return pa.table(
-                {"wh": pa.array([], pa.uint64()), "df": pa.array([], pa.int64())}
-            )
         h = g.column("wh").to_numpy(zero_copy_only=False).astype(np.uint64)
         c = g.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
         u, inv = np.unique(h, return_inverse=True)
@@ -305,12 +301,8 @@ def global_word_df(
         return pa.table({"wh": pa.array(u), "df": pa.array(df)})
 
     hs, cs = [], []
-    for b in (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(in_bucket, batch_format="pyarrow")
-        .iter_batches(batch_format="numpy")
-    ):
+    parts = ds.map_batches(partials, batch_format="pyarrow")
+    for b in util.bucketed(parts, "_b", in_bucket).iter_batches(batch_format="numpy"):
         if "wh" not in b:  # empty groupby partitions emit 0-col blocks
             continue
         hs.append(np.asarray(b["wh"], dtype=np.uint64))
@@ -671,11 +663,6 @@ def train_source_classifier(
     shift = np.int64(CLS_SCALE_BITS)
 
     def in_bucket(g: pa.Table) -> pa.Table:
-        out_empty = pa.table(
-            {"wh": pa.array([], pa.uint64()), "w": pa.array([], pa.int64())}
-        )
-        if g.num_columns == 0 or g.num_rows == 0:
-            return out_empty
         h = g.column("wh").to_numpy(zero_copy_only=False).astype(np.uint64)
         p = g.column("dfp").to_numpy(zero_copy_only=False).astype(np.int64)
         n = g.column("dfn").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -690,12 +677,8 @@ def train_source_classifier(
         return pa.table({"wh": pa.array(u), "w": pa.array(w)})
 
     hs, wsl = [], []
-    for b in (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(in_bucket, batch_format="pyarrow")
-        .iter_batches(batch_format="numpy")
-    ):
+    parts = ds.map_batches(partials, batch_format="pyarrow")
+    for b in util.bucketed(parts, "_b", in_bucket).iter_batches(batch_format="numpy"):
         if "wh" not in b:  # empty groupby partitions emit 0-col blocks
             continue
         hs.append(np.asarray(b["wh"], dtype=np.uint64))
@@ -877,17 +860,6 @@ def crossdoc_ngram_dup(
         )
 
     def in_bucket(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            # key type from the incoming group schema, not a hardcoded
-            # int64: with string doc keys an int64 empty block would
-            # conflict with non-empty blocks in the downstream groupby-sum
-            return pa.table(
-                {
-                    key_col: pa.array([], g.schema.field("k").type),
-                    "distinct_grams": pa.array([], pa.int64()),
-                    "dup_grams": pa.array([], pa.int64()),
-                }
-            )
         h = g.column("h").to_numpy(zero_copy_only=False)
         k = g.column("k").to_numpy(zero_copy_only=False)
         order = np.lexsort((k, h))
@@ -909,11 +881,7 @@ def crossdoc_ngram_dup(
             }
         )
 
-    partials = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(in_bucket, batch_format="pyarrow")
-    )
+    partials = util.bucketed(ds.map_batches(pairs, batch_format="pyarrow"), "_b", in_bucket)
     folded = partials.groupby(key_col).sum(["distinct_grams", "dup_grams"])
 
     def rename(t: pa.Table) -> pa.Table:
@@ -1086,8 +1054,6 @@ def remove_dup_spans(
         # every occurrence of a gram lands in THIS bucket: the keeper
         # (min key over its docs) resolves here, and each occurrence in
         # any OTHER doc emits one covered (key, start) row
-        if g.num_columns == 0 or g.num_rows == 0:
-            return _empty_cov()
         h = g.column("h").to_numpy(zero_copy_only=False)
         k = g.column("k").to_numpy(zero_copy_only=False)
         s = g.column("s").to_numpy(zero_copy_only=False)
@@ -1121,26 +1087,10 @@ def remove_dup_spans(
             }
         )
 
-    def norm_empty(t: pa.Table) -> pa.Table:
-        return _empty_cov() if t.num_columns == 0 else t
-
-    cov = (
-        ds.map_batches(gram_rows, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(covered_starts, batch_format="pyarrow")
-        .map_batches(norm_empty, batch_format="pyarrow")
-    )
+    cov = util.bucketed(ds.map_batches(gram_rows, batch_format="pyarrow"), "_b", covered_starts)
     unioned = ds.map_batches(pad_docs, batch_format="pyarrow").union(cov)
 
     def rewrite_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table(
-                {
-                    key_col: pa.array([], kt),
-                    text_col: pa.array([], pa.string()),
-                    "n_removed": pa.array([], pa.int64()),
-                }
-            )
         sarr = g.column("s").to_numpy(zero_copy_only=False)
         docs = g.filter(pa.array(sarr == -1))
         covs = g.filter(pa.array(sarr >= 0))
@@ -1196,7 +1146,7 @@ def remove_dup_spans(
             }
         )
 
-    return unioned.groupby("_db").map_groups(rewrite_bucket, batch_format="pyarrow")
+    return util.bucketed(unioned, "_db", rewrite_bucket)
 
 
 def _key_hash_buckets(keys: np.ndarray, nb: int) -> np.ndarray:

@@ -256,11 +256,6 @@ def stratified_sample(
         )
 
     def in_bucket(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {group_col: pa.array([], pa.string()), key_col: pa.array([], pa.string())}
-        )
-        if t.num_columns == 0 or t.num_rows == 0:
-            return empty
         df = t.select(["g", "k", "u"]).to_pandas()
         df = df.sort_values(["u", "k"]).groupby("g", sort=False).head(k)
         df = df.sort_values(["g", "k"])
@@ -271,12 +266,8 @@ def stratified_sample(
             }
         )
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(in_bucket, batch_format="pyarrow")
-        .sort([group_col, key_col])
-    )
+    parts = ds.map_batches(partials, batch_format="pyarrow")
+    return util.bucketed(parts, "_b", in_bucket).sort([group_col, key_col])
 
 
 # ---------------------------------------------------------------------------

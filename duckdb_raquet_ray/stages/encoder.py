@@ -36,6 +36,14 @@ from .. import planner
 ENCODED_FIXED_COLS = ("partition_id", "n_rows", "codec_meta")
 
 
+def read_projection(columns: list[str] | None) -> list[str] | None:
+    """Parquet column selection for an encoded file: fixed columns + the
+    requested blobs (un-requested blobs are never read)."""
+    if columns is None:
+        return None
+    return list(ENCODED_FIXED_COLS) + [f"col_{c}" for c in columns]
+
+
 def _stat_col_names(schema: pa.Schema) -> list[str]:
     """Columns that get stat_<name>_{count,min,max} companions: integer
     and list<integer> source columns (mirrors column_stats coverage)."""

@@ -4,10 +4,11 @@
 
 Welford (`grouped_stats`): `map_batches` emits one partial row per
 (key, batch) — a pre-aggregation that shrinks the shuffle from O(rows) to
-O(keys x batches) — then a small `groupby(key).map_groups` merges partials
-with the numerically-stable pairwise formula and finalizes. stddev is the
-sample standard deviation (m2/(n-1)) like compute_band_stats
-(band_decoder.cpp:226-297), matching DuckDB's STDDEV_SAMP.
+O(keys x batches) — then a small `util.bucketed(partials, key, ...)`
+shuffle merges partials with the numerically-stable pairwise formula and
+finalizes. stddev is the sample standard deviation (m2/(n-1)) like
+compute_band_stats (band_decoder.cpp:226-297), matching DuckDB's
+STDDEV_SAMP.
 
 Histogram-shaped statistics (value histograms, grouped top-k, bigrams,
 grouped quantiles, entropy, KL, median/MAD, top-k rows, distinct counts)
@@ -17,8 +18,8 @@ share one bucketed-reduce core:
             plus a `_b` bucket = hash(group) % n_buckets, so every
             partial of a group lands in one bucket (`_group_codes` codes
             the group key once: NULL -> '', string keys only);
-  shuffle   `_bucketed`: map_batches(partial) -> groupby("_b") ->
-            map_groups(reduce), with the 0-row-bucket guard;
+  shuffle   `util.bucketed(parts, "_b", reduce)`, the package's one
+            wide step; `reduce` always sees a non-empty bucket;
   merge     `_group_runs`: the bucket's rows become (group asc, value asc)
             unique pairs with exact int64 counts, one run per group;
   finalize  per group: top-k cut, entropy, KL, percentile_disc,
@@ -74,9 +75,8 @@ def welford_partials(batch: pa.Table, key: str, value: str) -> pa.Table:
 def _combine_and_finalize(group: pa.Table, key: str) -> pa.Table:
     """Pairwise Welford merge of partial states (st_region_stats.cpp:382-411).
 
-    Arrow in, Arrow out with an explicit uniform schema: pandas-out
-    map_groups hits a per-group block-building slow path (measured 25x on
-    the dedup pipeline — see pipelines/dedup.py)."""
+    Arrow in, Arrow out with an explicit uniform schema (see
+    util.bucketed)."""
     ns = group.column("n").to_numpy(zero_copy_only=False)
     means = group.column("mean").to_numpy(zero_copy_only=False)
     m2s = group.column("m2").to_numpy(zero_copy_only=False)
@@ -120,9 +120,7 @@ def grouped_stats(ds: rd.Dataset, key: str, value: str) -> rd.Dataset:
         batch_format="pyarrow",
         batch_size=65536,
     )
-    return partials.groupby(key).map_groups(
-        lambda g: _combine_and_finalize(g, key), batch_format="pyarrow"
-    )
+    return util.bucketed(partials, key, lambda g: _combine_and_finalize(g, key))
 
 
 # ---------------------------------------------------------------------------
@@ -153,23 +151,6 @@ def _group_codes(
     return (
         enc.indices.to_numpy(zero_copy_only=False).astype(np.int64),
         enc.dictionary.to_numpy(zero_copy_only=False),
-    )
-
-
-def _bucketed(ds: rd.Dataset, partials, reduce, empty: pa.Table) -> rd.Dataset:
-    """Shuffle the `partials` rows by their `_b` column and run `reduce`
-    once per bucket. A 0-row (or Ray's 0-column) group yields `empty`,
-    so `reduce` always sees rows."""
-
-    def run(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return empty
-        return reduce(g)
-
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(run, batch_format="pyarrow")
     )
 
 
@@ -271,12 +252,10 @@ def value_histogram(
     """Exact global frequency of every value of a dense int column (or a
     list column's elements with ``flatten=True``): in-block bincount
     partials -> coarse-bucket shuffle -> vectorized in-bucket sum."""
-    empty = pa.table(
-        {"value": pa.array([], pa.int64()), "cnt": pa.array([], pa.int64())}
+    parts = ds.map_batches(
+        lambda t: _hist_partials(t, column, domain, flatten), batch_format="pyarrow"
     )
-    return _bucketed(
-        ds, lambda t: _hist_partials(t, column, domain, flatten), _hist_reduce, empty
-    )
+    return util.bucketed(parts, "_b", _hist_reduce)
 
 
 def vocab_topk(
@@ -338,13 +317,6 @@ def grouped_topk(
     bucket — the in-bucket reduce can therefore apply the per-group
     top-k cap exactly, and only O(groups x k) rows leave the shuffle."""
     nb = n_buckets or util.scaled_buckets(ds)
-    empty = pa.table(
-        {
-            group_col: pa.array([], pa.string()),
-            "token": pa.array([], pa.int64()),
-            "cnt": pa.array([], pa.int64()),
-        }
-    )
 
     def reduce_bucket(g: pa.Table) -> pa.Table:
         groups, tok, cnt, starts = _group_runs(g, group_col, "token")
@@ -361,12 +333,11 @@ def grouped_topk(
             }
         )
 
-    return _bucketed(
-        ds,
+    parts = ds.map_batches(
         lambda t: _grouped_token_count_partials(t, group_col, tokens_col, vocab_size, nb),
-        reduce_bucket,
-        empty,
+        batch_format="pyarrow",
     )
+    return util.bucketed(parts, "_b", reduce_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +464,8 @@ def _bigram_buckets(ds: rd.Dataset, tokens_col: str, k: int, nb: int) -> rd.Data
             u, cnt = u[keep], cnt[keep]
         return pa.table({"key": pa.array(u), "cnt": pa.array(cnt)})
 
-    return _bucketed(ds, partials, in_bucket, empty)
+    parts = ds.map_batches(partials, batch_format="pyarrow")
+    return util.bucketed(parts, "_b", in_bucket)
 
 
 class _BigramLmProbe:
@@ -853,14 +825,6 @@ def grouped_corr(
     )
 
     def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or t.num_columns == 0:
-            return pa.table(
-                {
-                    group_col: pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "corr_xy": pa.array([], pa.float64()),
-                }
-            )
         rows = []
         for i in range(t.num_rows):
             # Python ints: the num/var products overflow int64 but stay
@@ -982,8 +946,6 @@ def numeric_profile(
     )
 
     def rename(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:  # empty groupby partition
-            return t
         return t.rename_columns(
             ["col", "cnt", "n_null", "min_v", "max_v", "sum_v"]
         )
@@ -1058,8 +1020,6 @@ def hll_registers(
     agg = parts.groupby("register").max("rank")
 
     def rename(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:
-            return t
         return t.rename_columns(["register", "rank"])
 
     return agg.map_batches(rename, batch_format="pyarrow").sort("register")
@@ -1190,8 +1150,6 @@ def grouped_hll_registers(
     agg = parts.groupby([group_col, "register"]).max("rank")
 
     def rename(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:
-            return t
         return t.rename_columns([group_col, "register", "rank"])
 
     return agg.map_batches(rename, batch_format="pyarrow").sort(
@@ -1471,9 +1429,6 @@ def _grouped_hist_quantiles(
     the group's value-sorted histogram."""
     nb = n_buckets or util.scaled_buckets(ds)
     labels = [_pct_label(prefix, p) for p in ps]
-    empty = pa.table(
-        {group_col: pa.array([], pa.string()), **{lab: pa.array([], typ) for lab in labels}}
-    )
 
     def reduce_bucket(g: pa.Table) -> pa.Table:
         groups, vals, cnt, starts = _group_runs(g, group_col, "value")
@@ -1489,12 +1444,11 @@ def _grouped_hist_quantiles(
             }
         )
 
-    return _bucketed(
-        ds,
+    parts = ds.map_batches(
         lambda t: _grouped_value_hist_partials(t, group_col, value_col, nb),
-        reduce_bucket,
-        empty,
+        batch_format="pyarrow",
     )
+    return util.bucketed(parts, "_b", reduce_bucket)
 
 
 def grouped_quantiles(
@@ -1675,14 +1629,6 @@ def grouped_token_entropy(
     the in-bucket fold sums cnt*log2(cnt) in (group, token) order, so the
     float result is deterministic. Output: one row per group."""
     nb = n_buckets or util.scaled_buckets(ds)
-    empty = pa.table(
-        {
-            group_col: pa.array([], pa.string()),
-            "n_tokens": pa.array([], pa.int64()),
-            "n_distinct": pa.array([], pa.int64()),
-            "entropy_bits": pa.array([], pa.float64()),
-        }
-    )
 
     def partials(t: pa.Table) -> pa.Table:
         return _grouped_token_count_partials(t, group_col, tokens_col, vocab_size, nb)
@@ -1703,7 +1649,8 @@ def grouped_token_entropy(
             }
         )
 
-    return _bucketed(ds, partials, reduce_bucket, empty)
+    parts = ds.map_batches(partials, batch_format="pyarrow")
+    return util.bucketed(parts, "_b", reduce_bucket)
 
 
 def grouped_entropy_oracle_sql(
@@ -1787,7 +1734,8 @@ def grouped_kl_divergence(
             }
         )
 
-    return _bucketed(ds, partials, reduce_bucket, empty)
+    parts = ds.map_batches(partials, batch_format="pyarrow")
+    return util.bucketed(parts, "_b", reduce_bucket)
 
 
 def grouped_kl_oracle_sql(
@@ -1856,15 +1804,6 @@ def grouped_mad_outliers(
     doubled into exact integers)."""
     nb = n_buckets or util.scaled_buckets(ds)
     kk = int(k)
-    empty = pa.table(
-        {
-            group_col: pa.array([], pa.string()),
-            "med2": pa.array([], pa.int64()),
-            "mad4": pa.array([], pa.int64()),
-            "n_rows": pa.array([], pa.int64()),
-            "n_outliers": pa.array([], pa.int64()),
-        }
-    )
 
     def partials(t: pa.Table) -> pa.Table:
         return _grouped_value_hist_partials(t, group_col, value_col, nb, max_value)
@@ -1896,7 +1835,8 @@ def grouped_mad_outliers(
             }
         )
 
-    return _bucketed(ds, partials, reduce_bucket, empty)
+    parts = ds.map_batches(partials, batch_format="pyarrow")
+    return util.bucketed(parts, "_b", reduce_bucket)
 
 
 def grouped_mad_oracle_sql(
@@ -2000,15 +1940,6 @@ def grouped_topk_rows(
             }
         )
 
-    empty = pa.table(
-        {
-            group_col: pa.array([], pa.string()),
-            key_col: pa.array([], kt),
-            order_col: pa.array([], vt),
-            "rank": pa.array([], pa.int64()),
-        }
-    )
-
     def in_bucket(t: pa.Table) -> pa.Table:
         df = pd.DataFrame(
             {
@@ -2028,7 +1959,8 @@ def grouped_topk_rows(
             }
         )
 
-    return _bucketed(ds, partials, in_bucket, empty)
+    parts = ds.map_batches(partials, batch_format="pyarrow")
+    return util.bucketed(parts, "_b", in_bucket)
 
 
 def grouped_topk_rows_oracle_sql(
@@ -2134,10 +2066,6 @@ def grouped_count_distinct(
             }
         )
 
-    empty = pa.table(
-        {group_col: pa.array([], pa.string()), "nd": pa.array([], pa.int64())}
-    )
-
     def in_bucket(t: pa.Table) -> pa.Table:
         # a (group, value) pair's hash lands in exactly one bucket, so the
         # in-bucket distinct count per group is a disjoint global partial
@@ -2155,15 +2083,11 @@ def grouped_count_distinct(
             }
         )
 
-    folded = _bucketed(ds, pairs, in_bucket, empty).groupby(group_col).sum("nd")
-
-    out_empty = pa.table(
-        {group_col: pa.array([], pa.string()), "n_distinct": pa.array([], pa.int64())}
-    )
+    folded = util.bucketed(
+        ds.map_batches(pairs, batch_format="pyarrow"), "_b", in_bucket
+    ).groupby(group_col).sum("nd")
 
     def rename(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:
-            return out_empty
         return pa.table(
             {
                 group_col: t.column(group_col),

@@ -216,6 +216,33 @@ def map_stage(items: list, stage, kwargs: dict, *, concurrency, num_cpus: int = 
     )
 
 
+def bucketed(ds, key, reduce):
+    """The package's one wide step: shuffle `ds` by its `key` column (or
+    columns) and run `reduce` (pa.Table -> pa.Table) once per key group.
+    Callers build the keyed dataset themselves — the bucket column, any
+    union of sides, their own upstream `batch_size` — so this names the
+    shuffle algorithm (today Ray's sort-based groupby) in one place.
+
+    Callers shuffle on a COARSE bucket key and do the fine-grained
+    grouping vectorized INSIDE each bucket: Ray's groupby().map_groups
+    pays per-group overhead, so grouping by a high-cardinality key
+    (content hash, band hash) directly costs ~0.5 ms x millions of groups.
+    Bucketing keeps the shuffle payload identical and the result
+    unchanged (a full group always lands in one bucket). The bucket COUNT
+    is corpus-scaled (`scaled_buckets`) so per-bucket in-memory reduce
+    work stays ~constant at any corpus size.
+
+    `reduce` is Arrow in / Arrow out with an explicit uniform schema:
+    returning pandas frames from map_groups hits a per-group
+    block-building slow path in Ray (measured 25x slower than emitting
+    pa.Tables). `reduce` always sees rows: Ray slices groups only out of
+    non-empty sorted blocks, and its empty output blocks (0 rows, often 0
+    columns) bypass every later `map_batches` UDF — consumers of the
+    result skip 0-column batches (pinned by the tests'
+    TestEmptyGroupSchemaPinning)."""
+    return ds.groupby(key).map_groups(reduce, batch_format="pyarrow")
+
+
 def row_digest(ds, cols: list[str]) -> str:
     """Order-free digest of the multiset of a dataset's `cols` rows — the
     append id of an index append derived from the appended rows

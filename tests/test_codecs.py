@@ -397,7 +397,7 @@ class TestRowcodecBytePin:
         np.testing.assert_array_equal(rowcodec.decode_child(blob, desc, lengths), plane)
         res = rowcodec.stats_child(blob, desc, lengths)
         if res is None:  # the caller then falls back to a full decode
-            assert _PIN_FIXTURES[name][1] or plane.itemsize == 8
+            assert _PIN_FIXTURES[name][1]  # only signed planes may wrap
             return
         ne = lengths > 0
         v = plane.astype(np.int64)

@@ -56,6 +56,27 @@ class TestDelete:
         assert not g.glob(os.path.join(d, "part-*.parquet"))
         assert meta0["num_partitions"] > 0
 
+    def test_key_probe_reads_only_the_key_blob(self, enc_dir, monkeypatch):
+        # pass 1 finds the affected partitions from the key column alone:
+        # the other columns' blobs must never be read
+        from duckdb_raquet_ray.functions import partition_keys as pk
+        from duckdb_raquet_ray.stages import encoder as enc
+
+        d, _ = enc_dir
+        pid = min(mf.load_entries(d))
+        real = pq.read_table
+        seen = []
+
+        def spy(path, *args, **kwargs):
+            seen.append(kwargs.get("columns"))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(pq, "read_table", spy)
+        col = encode._key_plane(d, pid, "doc_id")
+        assert seen == [["partition_id", "n_rows", "codec_meta", "col_doc_id"]]
+        whole = enc.decode_rows(real(os.path.join(d, pk.part_file_name(pid))))
+        assert col.to_pylist() == whole.column("doc_id").to_pylist()
+
     def test_empty_keys_refused(self, enc_dir):
         d, _ = enc_dir
         with pytest.raises(ValueError, match="empty key list"):

@@ -728,29 +728,67 @@ class TestGroupedCountDistinct:
 
 
 class TestEmptyGroupSchemaPinning:
-    """0-COLUMN blocks in grouped-stats output streams: provenance test.
+    """0-COLUMN blocks in bucketed (util.bucketed) output streams.
 
     Ray's sort machinery emits `pyarrow_table_from_pydict({})` — a
     0-column, 0-row block — for every EMPTY sort partition
-    (ray/data/_internal/arrow_block.py:394, Ray 2.49), and Ray's map
-    operators SKIP 0-row blocks without calling the UDF, so no
-    user-level stage can normalize them away (verified: a trailing
-    `map_batches(norm)` after map_groups is never invoked on them).
-    That is the entire source of the cosmetic `streaming_executor_state`
-    "different schema … new schema: ." warnings in the bench tail.
+    (ray/data/_internal/arrow_block.py:394, Ray 2.49). Ray slices groups
+    only out of non-empty sorted blocks, and its map operators SKIP
+    0-row blocks without calling the UDF, so neither a group UDF nor a
+    trailing `map_batches` ever sees an empty batch: the package keeps no
+    empty-input guards in such UDFs and no schema-pinning stage after a
+    shuffle. That is also the source of the cosmetic
+    `streaming_executor_state` "different schema … new schema: ."
+    warnings in the bench tail.
 
     What this repo guarantees instead, pinned here: every block our
     group UDFs actually PRODUCE carries the operator's full typed
     schema; the only schema-less blocks in the stream are Ray's own
     zero-row empties, which no downstream consumer ever reads rows
-    from."""
+    from. A Ray upgrade that starts handing UDFs empty batches fails
+    `test_udfs_never_see_empty_batches` loudly."""
 
-    def test_grouped_stats_block_schemas(self, ray_session):
+    def test_udfs_never_see_empty_batches(self, ray_session):
         import ray
 
         import pyarrow as pa
         import ray.data as rd
 
+        from duckdb_raquet_ray import util
+
+        # one row per CALL, recording the batch the UDF was handed: an
+        # empty-input call would surface as a 0 in the output
+        def seen(t: pa.Table) -> pa.Table:
+            return pa.table(
+                {"rows": [t.num_rows], "cols": [t.num_columns]}
+            )
+
+        # 3 rows, 2 keys, 6 blocks: most sort partitions are empty
+        t = pa.table({"_b": pa.array([0, 1, 1], pa.int32()), "v": [1, 2, 3]})
+        grouped = util.bucketed(rd.from_arrow(t).repartition(6), "_b", seen).materialize()
+        blocks = [ray.get(ref) for ref in _block_refs(grouped)]
+        assert sum(b.num_rows == 0 for b in blocks) > 0  # Ray did emit empties
+        calls = pa.concat_tables([b for b in blocks if b.num_rows])
+        assert sorted(calls.column("rows").to_pylist()) == [1, 2]
+        assert min(calls.column("cols").to_pylist()) == 2
+
+        trailing = grouped.map_batches(seen, batch_format="pyarrow").take_all()
+        assert trailing and all(r["rows"] > 0 and r["cols"] > 0 for r in trailing)
+
+        # a map_batches UDF over an empty typed input is never called
+        empty = rd.from_arrow(t.slice(0, 0)).map_batches(seen, batch_format="pyarrow")
+        assert empty.take_all() == []
+
+    def test_grouped_stats_block_schemas(self, ray_session, tmp_path):
+        import ray
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        from duckdb_raquet_ray.pipelines import (
+            cluster, cms, dedup, graph, joins, packing, quality, sampling,
+        )
         from duckdb_raquet_ray.stages import stats
 
         # 2 groups through MANY buckets -> most sort partitions are
@@ -763,9 +801,21 @@ class TestEmptyGroupSchemaPinning:
                 "tok": pa.array(
                     [[i % 5, (i + 1) % 5] for i in range(40)], pa.list_(pa.int64())
                 ),
+                "text": pa.array([f"w{i % 7} x y z w{i % 3}" for i in range(40)]),
+                "emb": pa.array(
+                    [[float(i % 3), 1.0, float(i % 2)] for i in range(40)],
+                    pa.list_(pa.float32()),
+                ),
+                "n_tok": pa.array([2] * 40, pa.int64()),
             }
         )
         ds = rd.from_arrow(t).repartition(4)
+        shard = str(tmp_path / "shard.parquet")
+        pq.write_table(t.select(["tok", "n_tok"]), shard)
+        edges = rd.from_arrow(
+            pa.table({"src": [f"s{i % 5}" for i in range(40)],
+                      "dst": [f"s{i % 3}" for i in range(40)]})
+        ).repartition(4)
         quants = {"p25", "p50", "p75", "p90", "p99"}
         for name, build, want_cols in (
             ("hist", lambda: stats.value_histogram(ds, "tok", 5, flatten=True),
@@ -790,22 +840,44 @@ class TestEmptyGroupSchemaPinning:
              {"g", "n_distinct"}),
             ("topk", lambda: stats.grouped_topk_rows(ds, "g", "v", k=2, key_col="k", n_buckets=16),
              {"g", "v", "k", "rank"}),
+            # one bucketed case from each module that shuffles through
+            # util.bucketed
+            ("stratified", lambda: sampling.stratified_sample(ds, 3, "g", "k", n_buckets=16),
+             {"g", "k"}),
+            ("cluster", lambda: cluster.cluster_balanced_sample(
+                ds, vec_col="emb", key_col="k", k=2, iters=1, per_cluster=3),
+             {"cluster", "k"}),
+            ("exact_dedup", lambda: dedup.exact_dedup(ds, "text", "k", n_buckets=16),
+             set(t.schema.names)),
+            ("cms", lambda: cms.cms_registers(ds, "tok", w=8, d=2), {"cell", "cnt"}),
+            ("packing", lambda: packing.window_doc_spans([shard], window=8, n_buckets=16),
+             {"window_id", "n_segs", "seg_lens", "spans_checksum"}),
+            ("dup_spans", lambda: quality.remove_dup_spans(
+                ds, text_col="text", key_col="k", n=2, n_buckets=16),
+             {"k", "text", "n_removed"}),
+            ("pagerank", lambda: graph.domain_pagerank(
+                edges, n_buckets=16, edge_driver_limit=0), {"domain", "rank"}),
+            ("session", lambda: joins.session_windows(ds, "g", "v", 3, "k", n_buckets=16),
+             {"g", "session_id", "n_events", "start_us", "end_us"}),
         ):
             out = build().materialize()
             real, ray_empties = [], 0
-            for bundle in out.iter_internal_ref_bundles():
-                for ref, _meta in bundle.blocks:
-                    blk = ray.get(ref)
-                    if blk.num_columns == 0:
-                        # Ray-internal empty-sort-partition block: must
-                        # carry no rows (harmless by construction)
-                        assert blk.num_rows == 0, name
-                        ray_empties += 1
-                    else:
-                        real.append(blk)
+            for ref in _block_refs(out):
+                blk = ray.get(ref)
+                if blk.num_columns == 0:
+                    # Ray-internal empty-sort-partition block: must
+                    # carry no rows (harmless by construction)
+                    assert blk.num_rows == 0, name
+                    ray_empties += 1
+                else:
+                    real.append(blk)
             assert real, name
             for blk in real:
                 assert set(blk.schema.names) == want_cols, (name, blk.schema.names)
+
+
+def _block_refs(ds):
+    return [ref for bundle in ds.iter_internal_ref_bundles() for ref, _meta in bundle.blocks]
 
 
 def _group_coding_table():
@@ -836,6 +908,32 @@ def _canon(df, cols):
         )
         for row in df[cols].itertuples(index=False)
     )
+
+
+def test_util_bucketed_is_the_only_map_groups_site():
+    """Every wide step shuffles through util.bucketed, so the shuffle
+    algorithm is chosen in one place: no other `.map_groups(` call may
+    appear in the package."""
+    import ast
+    import inspect
+    import pathlib
+
+    import duckdb_raquet_ray
+    from duckdb_raquet_ray import util
+
+    root = pathlib.Path(duckdb_raquet_ray.__file__).parent
+    sites = [
+        (path.relative_to(root).as_posix(), node.lineno)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "map_groups"
+    ]
+    lines, first = inspect.getsourcelines(util.bucketed)
+    assert len(sites) == 1, sites
+    (where, line), = sites
+    assert where == "util.py" and first <= line < first + len(lines), sites
 
 
 class TestBucketedCore:
