@@ -50,9 +50,12 @@ def compress(data, method: str = DEFAULT_GENERAL) -> bytes:
     raise ValueError(f"unknown general compression {method!r}")
 
 
-def decompress(data: bytes, method: str, raw_size: int) -> bytes:
+def decompress(data, method: str, raw_size: int):
+    """``data`` may be bytes or any buffer-protocol object (e.g. a
+    memoryview slice of a blob); the result is a read-only bytes-like
+    object — zstd hands back its Arrow buffer without a copy into bytes."""
     if method == "zstd":
-        return pa.decompress(data, decompressed_size=raw_size, codec="zstd", asbytes=True)
+        return pa.decompress(data, decompressed_size=raw_size, codec="zstd")
     if method == "zlib":
         return zlib.decompress(data)
     if method == "none":

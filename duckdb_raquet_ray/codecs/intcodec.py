@@ -362,7 +362,8 @@ def decode_for_bss(blob: bytes, desc: dict) -> np.ndarray:
     deltas = merge_streams(raw, n, w)
     if deltas.dtype != dt:
         deltas = deltas.astype(dt)
-    return deltas + dt.type(desc["base"])
+    # base 0 (every rowcodec residual bucket): the deltas are the plane
+    return deltas + dt.type(desc["base"]) if desc["base"] else deltas
 
 
 # ---------------------------------------------------------------------------

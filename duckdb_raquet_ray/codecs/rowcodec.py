@@ -355,10 +355,11 @@ def stats_child(
     granularity over the encoded form).
 
     Residual buckets are decoded (narrow width) but never widened or
-    scattered: one int64 cumsum per bucket + min/max reduceats at bucket
-    width, then ``value_stat = row_base + residual_stat``. That identity
-    holds only when no modular wrap occurs anywhere (base + max residual
-    below the signed bound of the plane width); when the gate fails the
+    scattered: per bucket, one int64 sum + min/max at bucket width, each a
+    ``reduceat`` over the bucket's non-empty rows with a rows-sized output,
+    then ``value_stat = row_base + residual_stat``. That identity holds
+    only when no modular wrap occurs anywhere (base + max residual below
+    the signed bound of the plane width); when the gate fails the
     function returns None and the caller falls back to the full decode.
     Empty rows report sum 0 and min/max int64 sentinels, mirroring
     transforms.token_stats."""
@@ -400,10 +401,8 @@ def stats_child(
             maxs[idx] = 0
             return
         lnp = ln[pos]
-        ends = np.cumsum(lnp)
-        starts = ends - lnp
-        c = np.cumsum(sub, dtype=np.int64)
-        sums[idx] = c[ends - 1] - np.where(starts > 0, c[starts - 1], 0)
+        starts = np.cumsum(lnp) - lnp
+        sums[idx] = np.add.reduceat(sub, starts, dtype=np.int64)
         mins[idx] = np.minimum.reduceat(sub, starts).astype(np.int64)
         mx = np.maximum.reduceat(sub, starts)
         maxs[idx] = mx.astype(np.int64)

@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions import detmix
-from ..util import bucketed, default_concurrency
+from ..util import bucketed, default_concurrency, strip_schema_metadata
 
 N_JOIN_BUCKETS = 256
 
@@ -67,6 +67,7 @@ class BroadcastJoiner:
             raise ValueError(f"right key {right_key!r} is not unique")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        batch = strip_schema_metadata(batch)  # output keeps the left batch's schema
         clash = set(self.payload.column_names) & set(batch.column_names)
         if clash:
             raise ValueError(
@@ -199,6 +200,7 @@ class AsofJoiner:
         self.payload = right.select(keep)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        batch = strip_schema_metadata(batch)  # output keeps the left batch's schema
         clash = set(self.payload.column_names) & set(batch.column_names)
         if clash:
             raise ValueError(
@@ -296,6 +298,7 @@ class RangeJoiner:
         self.left_val, self.how = left_val, how
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        batch = strip_schema_metadata(batch)  # output keeps the left batch's schema
         v = _ts_i64(batch.column(self.left_val))
         order = np.argsort(v, kind="stable")
         vs = v[order]

@@ -72,6 +72,7 @@ class TextAnalyzer:
         # passes, the pandas series only feeds the two kernels that
         # genuinely need Python sre / siphash (bpe lookahead regex,
         # content fingerprint)
+        batch = util.strip_schema_metadata(batch)  # pandas-written parquet input
         col = batch.column(self.text_col)
         arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         filled = pc.fill_null(arr, "")
@@ -260,6 +261,7 @@ def quality_metrics_batch(
     SQL-replicable components (RE2 class counts + utf8_length, the
     DuckDB oracle's own engine and semantics); ratios derive
     downstream."""
+    batch = util.strip_schema_metadata(batch)  # pandas-written parquet input
     arr = _filled_text(batch, text_col) if _arr is None else _arr
     out = batch
     for name, rx in (

@@ -36,9 +36,23 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from duckdb_raquet_ray import blockcodec as bc
-from duckdb_raquet_ray.codecs import scratch
+from duckdb_raquet_ray import util
 
 SENTINEL = -1  # the nodata analogue for masked token slots
+
+
+def _row_reduce(ufunc, x: np.ndarray, offsets: np.ndarray, empty, dtype=None) -> np.ndarray:
+    """Per-row ``ufunc`` reduction of the flat child ``x`` over the list
+    ``offsets`` -> int64 array, ``empty`` for zero-length rows. The module's
+    one way to reduce rows: a segmented ``reduceat`` over the non-empty
+    rows, whose starts are strictly increasing, so each segment is exactly
+    one row. An int64 sum wraps mod 2^64 like a prefix-sum difference, but
+    reads the child once and writes only a rows-sized output."""
+    out = np.full(len(offsets) - 1, empty, dtype=np.int64)
+    nonempty = offsets[1:] > offsets[:-1]
+    if nonempty.any():
+        out[nonempty] = ufunc.reduceat(x, offsets[:-1][nonempty], dtype=dtype)
+    return out
 
 
 def _child_and_rebuild(batch: pa.Table, column: str):
@@ -168,9 +182,7 @@ def clip_tokens(
     keep = (child >= low) & (child <= high)
     if child_valid is not None:  # null elements fail the predicate (nodata rule)
         keep &= child_valid
-    # new per-row lengths: sum of keep within each row's span
-    csum = np.concatenate(([0], np.cumsum(keep)))
-    new_lengths = csum[offsets[1:]] - csum[offsets[:-1]]
+    new_lengths = _row_reduce(np.add, keep, offsets, 0, np.int64)
     new_offsets = np.zeros(len(new_lengths) + 1, dtype=np.int32)
     np.cumsum(new_lengths, out=new_offsets[1:])
     child_type = batch.schema.field(column).type.value_type
@@ -270,56 +282,38 @@ def token_stats(
     analogue): count, min, max, sum, mean. `sentinel` values are skipped
     (the nodata-skipping rule, band_decoder.cpp:267-270).
 
-    Fast path (no sentinel) never widens the child values: one
-    ``cumsum(dtype=int64)`` pass reading the native-width child plus
-    native-width reduceat min/max — the stage is memory-bandwidth-bound
-    on billions of tokens, so pass count is the whole game."""
+    Fast path (no sentinel) never widens the child values: one int64
+    segmented sum plus native-width segmented min/max over the child, each
+    with a rows-sized output (`_row_reduce`) — the stage is
+    memory-bandwidth-bound on billions of tokens, so pass count is the
+    whole game."""
     child, offsets, _, child_valid = _child_and_rebuild(batch, column)
-    n_rows = len(offsets) - 1
-    starts = offsets[:-1].astype(np.int64)
-    nonempty = offsets[1:] > offsets[:-1]
-
+    i64 = np.iinfo(np.int64)
     if sentinel is None and child_valid is None:
-        counts = (offsets[1:] - offsets[:-1]).astype(np.int64)
-        # scratch, not np.zeros: a fresh 8 B/token buffer per batch is an
-        # mmap + full zero pass + first-touch faults (see codecs/scratch.py)
-        csum_v = scratch.arr("tr.csum", len(child) + 1, np.int64)
-        csum_v[0] = 0
-        np.cumsum(child, dtype=np.int64, out=csum_v[1:])
-        sums = csum_v[offsets[1:]] - csum_v[offsets[:-1]]
-        mins = np.full(n_rows, np.iinfo(np.int64).max)
-        maxs = np.full(n_rows, np.iinfo(np.int64).min)
-        if len(child) and nonempty.any():
-            mins[nonempty] = np.minimum.reduceat(child, starts[nonempty])
-            maxs[nonempty] = np.maximum.reduceat(child, starts[nonempty])
+        counts = offsets[1:] - offsets[:-1]
+        add = lo = hi = child
     else:
         child = child.astype(np.int64)
         valid = np.ones(len(child), dtype=bool) if sentinel is None else child != sentinel
         if child_valid is not None:  # null elements skipped like nodata
             valid &= child_valid
-        w = np.where(valid, 1, 0)
-        v = np.where(valid, child, 0)
-        csum_n = np.concatenate(([0], np.cumsum(w)))
-        csum_v = np.concatenate(([0], np.cumsum(v)))
-        counts = csum_n[offsets[1:]] - csum_n[offsets[:-1]]
-        sums = csum_v[offsets[1:]] - csum_v[offsets[:-1]]
-        mins = np.full(n_rows, np.iinfo(np.int64).max)
-        maxs = np.full(n_rows, np.iinfo(np.int64).min)
-        if len(child) and nonempty.any():
-            masked_min = np.where(valid, child, np.iinfo(np.int64).max)
-            masked_max = np.where(valid, child, np.iinfo(np.int64).min)
-            mins[nonempty] = np.minimum.reduceat(masked_min, starts[nonempty])
-            maxs[nonempty] = np.maximum.reduceat(masked_max, starts[nonempty])
+        counts = _row_reduce(np.add, valid, offsets, 0, np.int64)
+        add = np.where(valid, child, 0)
+        lo = np.where(valid, child, i64.max)
+        hi = np.where(valid, child, i64.min)
+    sums = _row_reduce(np.add, add, offsets, 0, np.int64)
+    mins = _row_reduce(np.minimum, lo, offsets, i64.max)
+    maxs = _row_reduce(np.maximum, hi, offsets, i64.min)
     has = counts > 0
     mean = np.divide(sums, counts, out=np.zeros(len(sums)), where=has)
     return batch.append_column(
-        "tok_count", pa.array(counts.astype(np.int64))
+        "tok_count", pa.array(counts)
     ).append_column(
-        "tok_min", pa.array(np.where(has, mins, 0).astype(np.int64), type=pa.int64())
+        "tok_min", pa.array(np.where(has, mins, 0), type=pa.int64())
     ).append_column(
-        "tok_max", pa.array(np.where(has, maxs, 0).astype(np.int64), type=pa.int64())
+        "tok_max", pa.array(np.where(has, maxs, 0), type=pa.int64())
     ).append_column(
-        "tok_sum", pa.array(sums.astype(np.int64))
+        "tok_sum", pa.array(sums)
     ).append_column(
         "tok_mean", pa.array(np.where(has, mean, 0.0), type=pa.float64())
     )
@@ -328,6 +322,7 @@ def token_stats(
 def ndiff_columns(batch: pa.Table, a: str, b: str, out: str = "ndiff") -> pa.Table:
     """(a-b)/(a+b) with 0/0 -> 0 (band_math.cpp ndiff rule :197-229);
     NULL in either input -> NULL out (SQL semantics)."""
+    batch = util.strip_schema_metadata(batch)  # pandas-written parquet input
     ca, cb = batch.column(a), batch.column(b)
     av = pc.fill_null(ca, 0).to_numpy(zero_copy_only=False).astype(np.float64)
     bv = pc.fill_null(cb, 0).to_numpy(zero_copy_only=False).astype(np.float64)
@@ -382,9 +377,7 @@ def position_weighted(
     w = pos * child.astype(np.int64)
     if child_valid is not None:
         w = np.where(child_valid, w, 0)
-    csum = np.zeros(len(child) + 1, np.int64)
-    np.cumsum(w, out=csum[1:])
-    posw = csum[offsets[1:]] - csum[offsets[:-1]]
+    posw = _row_reduce(np.add, w, offsets, 0, np.int64)
     cols = {c: batch.column(c) for c in id_cols if c in batch.column_names}
     cols["posw"] = pa.array(posw, type=pa.int64())
     return pa.table(cols)

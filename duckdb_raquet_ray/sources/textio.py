@@ -24,6 +24,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from ..util import clean_dataset
+
 _SOURCES = ["web", "code", "books", "wiki", "news"]
 _WORDS = (
     "alpha bravo charlie delta echo foxtrot golf hotel india juliet "
@@ -329,7 +331,7 @@ def write_ipc(ds: rd.Dataset, out_dir: str, rows_per_file: int = 65_536) -> list
         return pa.table({"path": pa.array([path]),
                          "rows": pa.array([t.num_rows], pa.int64())})
 
-    manifest = ds.map_batches(
+    manifest = clean_dataset(ds).map_batches(
         write_block, batch_format="pyarrow", batch_size=rows_per_file
     ).take_all()  # O(shards) rows — the write happened in the tasks
     return sorted(r["path"] for r in manifest)
@@ -447,7 +449,7 @@ def write_wds(
             {"path": pa.array([path]), "rows": pa.array([t.num_rows], pa.int64())}
         )
 
-    manifest = ds.map_batches(
+    manifest = clean_dataset(ds).map_batches(
         write_block, batch_format="pyarrow", batch_size=rows_per_file
     ).take_all()
     return sorted(r["path"] for r in manifest)
@@ -536,7 +538,7 @@ def write_orc(ds: rd.Dataset, out_dir: str, rows_per_file: int = 65_536) -> list
             {"path": pa.array([path]), "rows": pa.array([t.num_rows], pa.int64())}
         )
 
-    manifest = ds.map_batches(
+    manifest = clean_dataset(ds).map_batches(
         write_block, batch_format="pyarrow", batch_size=rows_per_file
     ).take_all()
     return sorted(r["path"] for r in manifest)

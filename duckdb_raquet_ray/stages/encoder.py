@@ -264,6 +264,13 @@ def encode_table(
     return encoded, entry
 
 
+def blob_view(batch: pa.Table, name: str, i: int) -> memoryview:
+    """Row ``i``'s ``col_<name>`` blob as a zero-copy view of its Arrow
+    buffer: the codecs only slice and read a blob, so their section slices
+    stay views and no blob is copied into Python bytes."""
+    return memoryview(batch.column(f"col_{name}")[i].as_buffer())
+
+
 def decode_rows(batch: pa.Table, columns: list[str] | None = None) -> pa.Table:
     """Decode a batch of encoded partition rows back to original rows."""
     out: list[pa.Table] = []
@@ -271,11 +278,9 @@ def decode_rows(batch: pa.Table, columns: list[str] | None = None) -> pa.Table:
     for i in range(batch.num_rows):
         descs = json.loads(metas[i])
         names = [c for c in descs if columns is None or c in columns]
-        cols = {}
-        for name in names:
-            blob = batch.column(f"col_{name}")[i].as_py()
-            cols[name] = bc.decode_array(blob, descs[name])
-        out.append(pa.table(cols))
+        out.append(pa.table(
+            {name: bc.decode_array(blob_view(batch, name, i), descs[name]) for name in names}
+        ))
     if not out:
         # an empty encoded batch carries no codec_meta to derive decoded
         # types from — callers feeding mixed empty/non-empty blocks should

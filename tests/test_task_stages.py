@@ -23,6 +23,7 @@ from duckdb_raquet_ray.codecs import scratch
 from duckdb_raquet_ray.functions import partition_keys as pk
 from duckdb_raquet_ray.pipelines import decode, encode
 from duckdb_raquet_ray.pipelines import encode_grouped as eg
+from duckdb_raquet_ray.pipelines import transforms as tr
 from duckdb_raquet_ray.sources import tokens
 from duckdb_raquet_ray.state import manifest as mf
 
@@ -90,6 +91,44 @@ def test_range_residual_is_its_own_operator(enc_dir):
     _stage_tasks(ds)
     assert re.search(r"Operator \d+ MapBatches\(residual\): ", ds.stats())
     assert all(10 <= v <= 100 for v in ds.to_pandas()["n_tok"])
+
+
+def test_files_per_task_rule():
+    """The fewest files per task that keep to ~4 waves of tasks, capped at
+    8 files, never 0."""
+    assert decode.files_per_task(6, 1) == 2
+    assert decode.files_per_task(6, (1, 1)) == 2
+    assert decode.files_per_task(6, 32) == 1
+    assert decode.files_per_task(0, 4) == 1
+    for n_files in range(1, 400, 7):
+        for tasks in (1, 2, 3, 8, 32):
+            k = decode.files_per_task(n_files, tasks)
+            assert 1 <= k <= 8
+            assert k == 8 or -(-n_files // k) <= 4 * tasks
+            assert k == 1 or -(-n_files // (k - 1)) > 4 * tasks
+
+
+@pytest.mark.parametrize("read", ["decode", "pushdown"])
+def test_scan_puts_every_file_in_one_task(enc_dir, read):
+    """One task slot over 8 files: 2 files per task, 4 tasks, and every
+    partition's rows exactly once."""
+    d, _, _ = enc_dir
+    assert len(decode.encoded_part_files(d)) == 8
+    ds = (decode.read_encoded(d, columns=["doc_id"], concurrency=(1, 1)) if read == "decode"
+          else decode.read_encoded_token_stats(d, concurrency=(1, 1))).materialize()
+    assert _stage_tasks(ds) == 4
+    ids = ds.to_pandas()["doc_id"]
+    assert len(ids) == 4000 and ids.is_unique
+
+
+def test_scans_of_no_partitions_are_empty(enc_dir):
+    """No file to scan -> no stage call at all (Ray never runs a map_batches
+    UDF on an empty block), and the datasets count 0."""
+    d, _, _ = enc_dir
+    assert decode.read_encoded(d, partition_ids=[]).count() == 0
+    assert decode.read_encoded(d, partition_ids=[], transform=tr.token_stats).count() == 0
+    assert decode.read_encoded_token_stats(d, partition_ids=[]).count() == 0
+    assert decode.read_encoded_range(d, "n_tok", lo=10**9).count() == 0
 
 
 _ENCODE_ONLY_TAGS = {
