@@ -200,7 +200,7 @@ def encode_bytes(data: bytes) -> tuple[bytes, dict]:
 
 def decode_bytes(blob: bytes, desc: dict) -> bytes:
     s0, s1, s2 = desc["sections"]
-    table, _ = SymbolTable.deserialize(blob[:s0])
+    table, _ = SymbolTable.deserialize(bytes(blob[:s0]))  # hashable symbols
     codes = blob[s0 : s0 + s1]
     exceptions = blob[s0 + s1 : s0 + s1 + s2]
     return table.decode(codes, exceptions)

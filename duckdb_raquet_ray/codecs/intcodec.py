@@ -315,7 +315,7 @@ def merge_streams(raw, n: int, w: int) -> np.ndarray:
     than ascontiguousarray on the transposed view)."""
     dt = _BYTE_WIDTH_DTYPE[w]
     if w == 1:
-        # read-only view is fine: every caller derives a fresh array from it
+        # read-only view of ``raw``: decoded planes are only ever read
         return np.frombuffer(raw, dtype=np.uint8, count=n)
     lanes = np.frombuffer(raw, dtype=np.uint8, count=n * w).reshape(w, n)
     out = np.empty(n, dtype=dt)

@@ -92,8 +92,8 @@ class PartitionDecoder:
     empty block."""
 
     def __init__(self, columns: list[str] | None = None, schema=None, transform=None):
-        # `schema` is accepted and unused: no empty block needs one (the
-        # benchmark's in-process pass still passes it)
+        # `schema` is ignored, not an option: it stays only while the
+        # benchmark's in-process pass passes it (ROADMAP)
         self.columns = columns
         self.read_cols = enc.read_projection(columns)
         retain_heap()  # see encode.EncodeStage / util.retain_heap

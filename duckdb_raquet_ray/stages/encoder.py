@@ -266,9 +266,9 @@ def encode_table(
 
 def blob_view(batch: pa.Table, name: str, i: int) -> memoryview:
     """Row ``i``'s ``col_<name>`` blob as a zero-copy view of its Arrow
-    buffer: the codecs only slice and read a blob, so their section slices
-    stay views and no blob is copied into Python bytes."""
-    return memoryview(batch.column(f"col_{name}")[i].as_buffer())
+    buffer, read as unsigned bytes ('B'; a pyarrow buffer exports 'b'): the
+    codecs slice and read a blob, so section slices stay views, not copies."""
+    return memoryview(batch.column(f"col_{name}")[i].as_buffer()).cast("B")
 
 
 def decode_rows(batch: pa.Table, columns: list[str] | None = None) -> pa.Table:

@@ -6,6 +6,7 @@ import pyarrow as pa
 import pytest
 
 from duckdb_raquet_ray import blockcodec as bc
+from duckdb_raquet_ray.stages import encoder as enc
 
 
 def roundtrip(arr: pa.Array, choice: dict) -> pa.Array:
@@ -13,6 +14,9 @@ def roundtrip(arr: pa.Array, choice: dict) -> pa.Array:
     out = bc.decode_array(blob, desc)
     assert out.type == arr.type, (out.type, arr.type)
     assert out.equals(arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr)
+    # the decode stages hand the codecs a view of the stored blob, not bytes
+    stored = pa.table({"col_c": pa.array([blob], pa.binary())})
+    assert bc.decode_array(enc.blob_view(stored, "c", 0), desc).equals(out)
     return out
 
 

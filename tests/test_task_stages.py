@@ -14,17 +14,20 @@ import re
 import shutil
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray
 
-from duckdb_raquet_ray.codecs import scratch
+from duckdb_raquet_ray import planner
+from duckdb_raquet_ray.codecs import fsst, scratch
 from duckdb_raquet_ray.functions import partition_keys as pk
 from duckdb_raquet_ray.pipelines import decode, encode
 from duckdb_raquet_ray.pipelines import encode_grouped as eg
 from duckdb_raquet_ray.pipelines import transforms as tr
 from duckdb_raquet_ray.sources import tokens
+from duckdb_raquet_ray.stages import encoder as enc
 from duckdb_raquet_ray.state import manifest as mf
 
 
@@ -134,6 +137,27 @@ def test_scans_of_no_partitions_are_empty(enc_dir):
 _ENCODE_ONLY_TAGS = {
     "rc.p64", "rc.dflag", "rc.resid", "rc.ranks", "rc.narrow", "ic.split", "ic.narrow",
 }
+
+
+def test_fsst_column_with_a_full_symbol_table_decodes_from_blob_views(tmp_path):
+    """A table of more than 127 symbols (the count byte reads negative as
+    a signed byte) decodes through decode_rows and both decode stages,
+    which hand the codecs views of the Arrow blobs, not bytes."""
+    rng = np.random.default_rng(0)
+    alphabet = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz0123456789", dtype=np.uint8)
+    docs = [rng.choice(alphabet, 40).tobytes().decode() for _ in range(500)]
+    assert len(fsst.train("".join(docs).encode()).symbols) > 127
+    t = pa.table({"doc_id": docs,
+                  "tokens": pa.array([[1, 2, 3]] * len(docs), pa.list_(pa.int32()))})
+    plan = planner.plan_table(t)
+    plan["doc_id"] = {"codec": "fsst"}
+    path = str(tmp_path / "p.parquet")
+    pq.write_table(enc.encode_table(t, 0, "shard", plan=plan)[0], path)
+    assert enc.decode_rows(pq.read_table(path)).equals(t)
+    paths = pa.table({"path": [path]})
+    assert decode.PartitionDecoder()(paths).equals(t)
+    assert decode.PartitionStatsDecoder()(paths).column("doc_id").equals(t.column("doc_id"))
+    scratch.clear()
 
 
 def test_scratch_claim_switch_releases_encoder_buffers(tmp_path):
