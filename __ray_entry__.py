@@ -511,12 +511,25 @@ def _q_topk(sf_dir: str):
     return t.select(["vec_id", "rank"])
 
 
-def _q_ndiff(sf_dir: str):
+def _read_parquet(path: str, columns: list[str] | None = None):
+    """``rd.read_parquet`` under the file's schema minus its pandas metadata
+    (restricted to ``columns``). A read task joins its batches into one
+    block; with that unhashable metadata attached Ray logs "Failed to hash
+    the schemas (for deduplication)" inside the read, where a later
+    ``util.clean_dataset`` cannot reach."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.read_parquet(path, columns=columns, schema=schema)
+
+
+def _q_ndiff(sf_dir: str):
     from duckdb_raquet_ray.pipelines import transforms as tr
 
-    ds = rd.read_parquet(
+    ds = _read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_linenumber", "l_discount", "l_tax"],
     )
@@ -3314,14 +3327,13 @@ _SESSION_GAP_US = 3 * 86_400_000_000
 def _q_broadcast_join(sf_dir: str):
     """Fact-stream x broadcast-dimension equi-join (orders x customer)."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from duckdb_raquet_ray.pipelines import joins
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_mktsegment"]
     )
-    ds = rd.read_parquet(
+    ds = _read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
     )
     return joins.broadcast_join(ds, cust, "o_custkey", "c_custkey")
@@ -3331,15 +3343,13 @@ def _q_hash_join(sf_dir: str):
     """General large-large bucketed hash equi-join (lineitem x orders):
     neither side broadcasts — both stream through ONE fixed-fan-out
     bucket shuffle, vectorized expand per bucket (joins.hash_join)."""
-    import ray.data as rd
-
     from duckdb_raquet_ray.pipelines import joins
 
-    li = rd.read_parquet(
+    li = _read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_linenumber", "l_quantity"],
     )
-    ods = rd.read_parquet(
+    ods = _read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
     )
     return joins.hash_join(
@@ -3525,14 +3535,12 @@ def _q_semi_join(sf_dir: str):
     bucket shuffle, left columns out, no expansion (joins.hash_join
     how="semi"; the distributed form of a broadcast keep-set when the
     filter side outgrows a sane ray.put)."""
-    import ray.data as rd
-
     from duckdb_raquet_ray.pipelines import joins
 
-    cust = rd.read_parquet(
+    cust = _read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_acctbal"]
     )
-    ods = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
+    ods = _read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
     return joins.hash_join(
         cust, ods, left_key="c_custkey", right_key="o_custkey", how="semi"
     )
@@ -3544,14 +3552,12 @@ def _q_anti_join(sf_dir: str):
     (joins.hash_join how="anti" — SQL NOT EXISTS semantics, null left
     keys kept; 1350/1500 customers survive at sf0.01 so the result is
     non-trivially populated)."""
-    import ray.data as rd
-
     from duckdb_raquet_ray.pipelines import joins
 
-    cust = rd.read_parquet(
+    cust = _read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_acctbal"]
     )
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
+    ev = _read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
     return joins.hash_join(
         cust, ev, left_key="c_custkey", right_key="user_id", how="anti"
     )
@@ -3563,14 +3569,12 @@ def _q_full_join(sf_dir: str):
     right-only events with every left column null (joins.hash_join
     how="full"; the left restriction to o_custkey < 50 makes BOTH
     unmatched populations non-trivial at sf0.01)."""
-    import ray.data as rd
-
     from duckdb_raquet_ray.pipelines import joins
 
-    ods = rd.read_parquet(
+    ods = _read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
     ).filter(expr="o_custkey < 50")
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "event_id"])
+    ev = _read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "event_id"])
     return joins.hash_join(
         ods, ev, left_key="o_custkey", right_key="user_id",
         right_cols=["event_id"], how="full",
@@ -3592,11 +3596,9 @@ def _q_profile_orders(sf_dir: str):
     """Per-column data profile (cnt / n_null / min / max / sum, floats;
     timestamps as epoch µs): per-block pyarrow-kernel partials combined
     through one tiny groupby — the pre-commit schema-health check."""
-    import ray.data as rd
-
     from duckdb_raquet_ray.stages import stats as st
 
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=_PROFILE_COLS)
+    ds = _read_parquet(f"{sf_dir}/orders.parquet", columns=_PROFILE_COLS)
     return st.numeric_profile(ds, _PROFILE_COLS)
 
 
@@ -3607,11 +3609,9 @@ def _q_float_quantiles(sf_dir: str):
     (stages/stats.py:float_quantiles). seqlen_quantiles is the one-pass
     dense-int special case; this is the general-column path a 100-TB
     ORDER-BY percentile cannot take."""
-    import ray.data as rd
-
     from duckdb_raquet_ray.stages import stats as st
 
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
+    ds = _read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
     return st.float_quantiles(ds, "o_totalprice")
 
 
@@ -3652,12 +3652,10 @@ def _q_asof_join(sf_dir: str):
     """Bucketed-shuffle as-of join (events x orders): latest order per user
     at or before each event, ties to the largest orderkey. Timestamps are
     surfaced as epoch-µs int64 so the value hash is exact."""
-    import ray.data as rd
-
     from duckdb_raquet_ray.pipelines import joins
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
-    ods = rd.read_parquet(f"{sf_dir}/orders.parquet")
+    ev = _read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
+    ods = _read_parquet(f"{sf_dir}/orders.parquet")
     out = joins.asof_join(
         ev, ods, left_key="user_id", right_key="o_custkey",
         left_ts="ts", right_ts="o_orderdate", tie_col="o_orderkey",

@@ -19,6 +19,13 @@ tile analogue inside a partition). ``for_rows``:
   5. the per-row bases (one plane) and width codes (uint8, RLE-friendly)
      are coded with the regular plane codecs.
 
+Steps 2 and 4 and the dictionary passes run per row-aligned block of
+about ``_BLOCK`` tokens (the reference's per-tile scratch): block
+temporaries stay cache-resident; only rows-sized arrays and each bucket's
+byte streams, written at a running offset and compressed whole, span the
+partition. Blocks end on row boundaries, so the streams hold the bytes a
+whole-plane pass would. Decode mirrors it, block by block.
+
 Measured on the F1 token mixture: 6-7 % smaller than partition-wide
 ``for_bss`` at comparable encode speed. Everything is vectorized
 (reduceat / repeat / boolean gathers); decode needs the row lengths,
@@ -36,8 +43,8 @@ import numpy as np
 from . import general, intcodec, scratch
 
 _WIDTH_OF_CODE = {1: 1, 2: 2, 3: 4, 4: 8}
-_CODE_OF_WIDTH = {1: 1, 2: 2, 4: 3, 8: 4}
 _NP_OF_WIDTH = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+_CODE_BOUNDS = np.array([0, 0xFF, 0xFFFF, 0xFFFFFFFF], dtype=np.uint64)
 
 # row code 5: partition-global dictionary bucket. Per-row FOR DESTROYS
 # shared-alphabet structure — rows drawing from one partition-wide alphabet
@@ -50,6 +57,23 @@ DICT_CODE = 5
 _DICT_MAX_PLANE = 1 << 20  # bincount/LUT domain bound (token ids are ~50k)
 _DICT_MAX_CARD = 4096
 _DICT_MIN_REPEATS = 4  # a dict value must repeat at least this often
+
+# tokens per row-aligned block: a block's int32 residuals, masks and
+# expansions (~0.5 MB) stay in L2 next to the 50k-entry LUT. Measured on
+# the F1 mixture, 2^16-2^18 tie and smaller blocks are slower; 2^16 keeps
+# the scratch pool smallest
+_BLOCK = 1 << 16
+
+
+def _blocks(offsets: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(first row, end row, first token, end token) of each row-aligned
+    block: a block ends at the first row start at or past a multiple of
+    ``_BLOCK`` tokens, so a row longer than a block stays whole in one."""
+    rows = len(offsets) - 1
+    at = np.searchsorted(offsets, np.arange(0, int(offsets[-1]), _BLOCK))
+    cuts = np.unique(np.append(at, rows)).tolist()
+    toks = offsets[cuts].tolist()
+    return list(zip(cuts, cuts[1:], toks, toks[1:]))
 
 
 def row_ranges(plane: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,36 +99,33 @@ def row_ranges(plane: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.n
 
 def fill_rowwise(per_row: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``out[k] = per_row[row containing k]``, as ``np.repeat`` by the row
-    lengths: one write pass over a fresh plane of per_row's dtype (~6x
+    lengths: one write pass over a fresh array of per_row's dtype (~6x
     faster than zero + diff scatter + cumsum into a scratch plane). The
-    fresh allocation costs no page faults on the stages' workers:
-    ``util.retain_heap`` keeps freed blocks mapped, so it reuses them."""
+    kernels call it per block, so the result is block-sized."""
     return np.repeat(per_row, lengths)
 
 
-def _encode_bucket(narrow: np.ndarray) -> tuple[bytes, dict]:
-    """Lean for_bss for an already-narrowed residual bucket: base 0 (row
-    bases absorbed the frame), byte-stream-split via scratch, zstd straight
-    from the scratch buffer — zero fresh allocations besides the compressed
-    output. Descriptor-compatible with intcodec.decode_for_bss."""
-    streams = intcodec.split_streams(narrow)
-    z = general.compress(streams)
-    return z, {
+def _encode_bucket(streams: np.ndarray) -> tuple[bytes, dict]:
+    """Lean for_bss of one bucket whose (w, n) lane-major byte
+    streams (intcodec.split_streams' layout) encode_child filled block by
+    block: base 0 (row bases absorbed the frame), zstd straight from the
+    scratch buffer. Descriptor-compatible with intcodec.decode_for_bss."""
+    w, n = streams.shape
+    return general.compress(streams.reshape(-1)), {
         "codec": "for_bss",
-        "n": len(narrow),
+        "n": n,
         "base": 0,
-        "byte_width": narrow.dtype.itemsize,
-        "pw": narrow.dtype.itemsize,
+        "byte_width": w,
+        "pw": w,
         "general": general.DEFAULT_GENERAL,
-        "raw_size": int(np.asarray(streams).nbytes),
+        "raw_size": int(streams.nbytes),
     }
 
 
-def _detect_dict(plane, bases, ranges, codes, offsets, n, rows, pw):
+def _detect_dict(plane, bases, ranges, codes, offsets, blocks):
     """Find a partition-global value table and re-class rows fully covered
     by it (and wider than its 1-byte code) to DICT_CODE, mutating
-    ``codes`` in place. Returns (sorted table values | None, code width,
-    gathered values | None).
+    ``codes`` in place. Returns (sorted table values | None, code width).
 
     Two-stage, so it works both when a shared alphabet coexists with a
     diverse background (top-K candidates separate them) AND when the whole
@@ -118,25 +139,28 @@ def _detect_dict(plane, bases, ranges, codes, offsets, n, rows, pw):
          codes (256), which also guarantees every eligible row wins
          (1 byte/token vs its >= 2).
 
-    The third value returned is the eligible rows' values in row order:
-    those rows are exactly the dict bucket, so encode codes them without
-    a second gather over the plane.
-
     Domain-bounded to 2^20 bit patterns (token ids) so the bincount/LUT
     stay a few MB; signed-negative planes fall outside the bound and
     skip. The planner's trial-encode hint gates these passes entirely for
     dict-less data."""
-    if n == 0 or rows == 0 or pw > 4:
-        return None, 0, None
-    gmax = int(np.max(bases.astype(np.uint64) + ranges.astype(np.uint64))) if rows else 0
+    n, rows = len(plane), len(codes)
+    if n == 0 or rows == 0 or plane.dtype.itemsize > 4:
+        return None, 0
+    gmax = int(np.max(bases.astype(np.uint64) + ranges.astype(np.uint64)))
     if gmax >= _DICT_MAX_PLANE:
-        return None, 0, None
-    p64 = scratch.arr("rc.p64", n, np.int64)
-    np.copyto(p64, plane, casting="unsafe")
-    counts = np.bincount(p64, minlength=gmax + 1)
+        return None, 0
+    # pass 1: one partition histogram, counted in chunks long enough that
+    # each chunk's (gmax+1)-entry bincount costs no more than the chunk
+    step = min(n, max(_BLOCK, 4 * (gmax + 1)))
+    p64 = scratch.arr("rc.p64", step, np.int64)
+    counts = np.zeros(gmax + 1, dtype=np.int64)
+    for t in range(0, n, step):
+        chunk = p64[: min(step, n - t)]
+        np.copyto(chunk, plane[t : t + step], casting="unsafe")
+        counts += np.bincount(chunk, minlength=gmax + 1)
     nz = np.flatnonzero(counts >= _DICT_MIN_REPEATS)
     if len(nz) < 2:
-        return None, 0, None
+        return None, 0
     if len(nz) > _DICT_MAX_CARD:
         order = np.lexsort((nz, -counts[nz]))[:_DICT_MAX_CARD]
         cand = np.sort(nz[order])
@@ -144,35 +168,30 @@ def _detect_dict(plane, bases, ranges, codes, offsets, n, rows, pw):
         cand = nz
     lut = np.zeros(gmax + 1, dtype=bool)
     lut[cand] = True
-    flags = scratch.arr("rc.dflag", n, bool)
-    np.take(lut, p64, out=flags)
+    # pass 2, per block: mark eligible rows and the values they use (the
+    # final table). card <= 256 -> 1-byte codes; <= 4096 -> 2-byte codes,
+    # byte-equal with w2 rows but usually better aligned (the planner's
+    # dict-on/off trial makes that call empirically).
     lengths = np.diff(offsets)
-    ne = lengths > 0
-    covered = np.zeros(rows, dtype=bool)
-    if ne.any():
-        covered[ne] = np.minimum.reduceat(flags, offsets[:-1][ne])
-    w_bytes = np.array([0, 1, 2, 4, 8, 0], dtype=np.int64)[codes]
-    eligible = covered & (w_bytes >= 2)
-    if not eligible.any():
-        return None, 0, None
-    # final table: the distinct values the eligible rows actually use.
-    # card <= 256 -> 1-byte codes (always a win over the >= 2-byte rows).
-    # card <= 4096 -> 2-byte codes: byte-equal with w2 rows, but the
-    # shared-table alignment usually beats misaligned residual entropy —
-    # the planner's dict-on/off trial makes that call empirically.
-    # Gather the eligible subset and scatter it into a bool LUT: ~2.4x
-    # cheaper than a weighted bincount over the full plane (float64
-    # weights), and a boolean index on the pw-byte plane gathers ~3x
-    # faster than np.compress(out=) on the 8-byte p64.
-    sel = plane[fill_rowwise(eligible, lengths)]
+    wide = np.array([0, 0, 1, 1, 1, 0], dtype=bool)[codes]
+    eligible = np.zeros(rows, dtype=bool)
     used = np.zeros(gmax + 1, dtype=bool)
-    used[sel] = True
+    flags = scratch.arr("rc.dflag", max(t1 - t0 for _, _, t0, t1 in blocks), bool)
+    for r0, r1, t0, t1 in blocks:
+        ne = lengths[r0:r1] > 0
+        if not ne.any():
+            continue
+        fl = flags[: t1 - t0]
+        np.take(lut, plane[t0:t1], out=fl)
+        el = eligible[r0:r1]
+        el[ne] = np.minimum.reduceat(fl, offsets[r0:r1][ne] - t0) & wide[r0:r1][ne]
+        if el.any():
+            used[plane[t0:t1][fill_rowwise(el, lengths[r0:r1])]] = True
     hot = np.flatnonzero(used)
-    if not (2 <= len(hot) <= _DICT_MAX_CARD):
-        return None, 0, None
-    code_w = 1 if len(hot) <= 256 else 2
+    if not eligible.any() or not (2 <= len(hot) <= _DICT_MAX_CARD):
+        return None, 0
     codes[eligible] = DICT_CODE
-    return hot, code_w, sel
+    return hot, 1 if len(hot) <= 256 else 2
 
 
 def encode_child(
@@ -187,15 +206,12 @@ def encode_child(
 
     ``signed`` orders the per-row min/max on the logical values (the same
     rule as :func:`intcodec.for_minmax`); residual arithmetic is modular
-    in the plane width so the bit patterns round-trip exactly. The O(n)
-    temporaries come from the scratch pool (codecs/scratch.py) or, for
-    ``np.repeat`` expansions and boolean gathers, from the heap that
-    ``util.retain_heap`` keeps mapped — this kernel runs on long-lived Ray
-    workers and must not re-fault half a GB of pages per partition."""
+    in the plane width so the bit patterns round-trip exactly. The block
+    temporaries and bucket streams come from the scratch pool
+    (codecs/scratch.py) — this kernel runs on long-lived Ray workers and
+    must not re-fault its pages per partition."""
     lengths = np.diff(offsets).astype(np.int64)
-    n = len(plane)
-    rows = len(lengths)
-    pw = plane.dtype.itemsize
+    n, rows, pw = len(plane), len(lengths), plane.dtype.itemsize
     view = plane.view(intcodec._SIGNED_OF_WIDTH[pw]) if signed else plane
     bases_v, ranges_v = row_ranges(view, offsets)
     bases = bases_v.view(plane.dtype) if signed else bases_v
@@ -204,76 +220,77 @@ def encode_child(
     # residual magnitude) instead of re-scanning the residual plane
     ranges = ranges_v.view(plane.dtype) if signed else ranges_v
 
-    codes = np.zeros(rows, dtype=np.uint8)
-    codes[ranges > 0] = 1
-    if pw > 1:
-        codes[ranges > 0xFF] = 2
-    if pw > 2:
-        codes[ranges > 0xFFFF] = 3
-    if pw > 4:
-        codes[ranges > 0xFFFFFFFF] = 4
+    # width code: 0 for range 0, else the first of 1/2/4/8 bytes holding it
+    codes = np.searchsorted(_CODE_BOUNDS, ranges).astype(np.uint8)
 
-    hot, code_w, gathered = (
-        _detect_dict(plane, bases, ranges, codes, offsets, n, rows, pw)
-        if try_dict
-        else (None, 0, None)
+    blocks = _blocks(offsets)
+    hot, code_w = (
+        _detect_dict(plane, bases, ranges, codes, offsets, blocks) if try_dict else (None, 0)
     )
     if hot is not None:
-        # dict rows carry ABSOLUTE values (indices into the shared table);
-        # zero their bases BEFORE the residual pass so decode's base add
-        # is a no-op for them
+        # dict rows carry ABSOLUTE values (indices into the shared table):
+        # zero their bases so their residuals ARE the values and decode's
+        # base add is a no-op for them
         bases = bases.copy()
         bases[codes == DICT_CODE] = 0
+        rank_lut = np.zeros(int(hot[-1]) + 1, dtype=_NP_OF_WIDTH[code_w])
+        rank_lut[hot] = np.arange(len(hot), dtype=rank_lut.dtype)
 
-    # residual pass AFTER dict detection: dict rows must keep absolute values
-    resid = scratch.arr("rc.resid", n, plane.dtype)
-    np.subtract(plane, fill_rowwise(bases, lengths), out=resid)
-
-    # per-code token counts from a rows-sized bincount — the expanded wtok
-    # plane and per-bucket equality masks are built only when a residual
-    # bucket leaves tokens out (the common single-bucket partition skips
-    # three full passes over the child; the dict bucket is already gathered)
+    # each bucket's lane-major byte streams, filled at a running offset
     cnt_by_code = np.bincount(codes, weights=lengths, minlength=6).astype(np.int64)
-    present = [c for c in (1, 2, 3, 4, DICT_CODE) if cnt_by_code[c] > 0]
-    if any(cnt_by_code[c] < n for c in present if c != DICT_CODE):
-        wtok = fill_rowwise(codes, lengths)
-        mask = scratch.arr("rc.mask", n, bool)
+    widths = {c: _WIDTH_OF_CODE.get(c, code_w) for c in (1, 2, 3, 4, DICT_CODE) if cnt_by_code[c]}
+    streams = {
+        c: scratch.arr(f"rc.s{c}", cnt_by_code[c] * w, np.uint8).reshape(w, -1)
+        for c, w in widths.items()
+    }
+    done = dict.fromkeys(widths, 0)
+    big = max((t1 - t0 for _, _, t0, t1 in blocks), default=0)
+    resid_buf = scratch.arr("rc.resid", big, plane.dtype)
+    mask_buf = scratch.arr("rc.mask", big, bool)
+    for r0, r1, t0, t1 in blocks:
+        ln = lengths[r0:r1]
+        resid = resid_buf[: t1 - t0]
+        np.subtract(plane[t0:t1], fill_rowwise(bases[r0:r1], ln), out=resid)
+        per = np.bincount(codes[r0:r1], weights=ln, minlength=6).astype(np.int64)
+        wtok = None
+        for c, w in widths.items():
+            k = int(per[c])
+            if k == 0:
+                continue
+            vals = resid
+            if k < t1 - t0:
+                if wtok is None:
+                    wtok = fill_rowwise(codes[r0:r1], ln)
+                mask = mask_buf[: t1 - t0]
+                np.equal(wtok, c, out=mask)
+                # residual buckets gather straight from the LOW-ORDER byte
+                # lane: the strided view reads w of every pw bytes, so the
+                # narrow cast is fused into the gather (values < 2^(8w))
+                src = resid if c == DICT_CODE else resid.view(_NP_OF_WIDTH[w])[:: pw // w]
+                vals = src[mask]
+            if c == DICT_CODE:
+                vals = rank_lut[vals]
+            # the low w bytes of each value, one byte lane per stream row
+            vb = vals.view(np.uint8).reshape(k, -1)
+            for j in range(w):
+                streams[c][j, done[c] : done[c] + k] = vb[:, j]
+            done[c] += k
+
     sections: list[bytes] = []
     buckets: list[dict] = []
-    for code in present:
-        cnt = int(cnt_by_code[code])
-        if code == DICT_CODE:
-            # map the ABSOLUTE values _detect_dict gathered to table ranks
-            # via a LUT, code the ranks; the table itself (sorted ascending
-            # -> tiny FOR deltas) rides in the same section before the ranks
-            rank_lut = np.zeros(int(hot[-1]) + 1, dtype=_NP_OF_WIDTH[code_w])
-            rank_lut[hot] = np.arange(len(hot), dtype=rank_lut.dtype)
-            ranks = scratch.arr("rc.ranks", cnt, _NP_OF_WIDTH[code_w])
-            np.take(rank_lut, gathered, out=ranks)
-            vals_blob, vals_desc = intcodec.encode_plane(
-                hot.astype(plane.dtype), "for_bss", False
-            )
-            idx_blob, idx_desc = _encode_bucket(ranks)
-            sections.append(vals_blob + idx_blob)
-            buckets.append(
-                {"code": DICT_CODE, "plane": idx_desc, "values": vals_desc,
-                 "split": len(vals_blob)}
-            )
+    for c, s in streams.items():
+        blob, bdesc = _encode_bucket(s)
+        if c != DICT_CODE:
+            sections.append(blob)
+            buckets.append({"code": c, "plane": bdesc})
             continue
-        w = _WIDTH_OF_CODE[code]
-        # gather straight from the LOW-ORDER byte lane of the residuals:
-        # the strided view reads w of every pw bytes, so the narrow cast
-        # is fused into the gather (values < 2^(8w) make it exact)
-        lane = resid.view(_NP_OF_WIDTH[w])[:: pw // w]
-        if cnt < n:
-            np.equal(wtok, code, out=mask)
-            narrow = lane[mask]  # ~3x faster than np.compress(out=)
-        else:  # one bucket covers every token
-            narrow = scratch.arr("rc.narrow", cnt, _NP_OF_WIDTH[w])
-            np.copyto(narrow, lane)
-        blob, bdesc = _encode_bucket(narrow)
-        sections.append(blob)
-        buckets.append({"code": code, "plane": bdesc})
+        # the table itself (sorted ascending -> tiny FOR deltas) rides in
+        # the same section before the ranks
+        vals_blob, vals_desc = intcodec.encode_plane(hot.astype(plane.dtype), "for_bss", False)
+        sections.append(vals_blob + blob)
+        buckets.append(
+            {"code": DICT_CODE, "plane": bdesc, "values": vals_desc, "split": len(vals_blob)}
+        )
 
     bases_blob, bases_desc = intcodec.encode_plane(bases, "for_bss", signed)
     # width codes: tiny, heavily repetitive when row classes cluster
@@ -285,7 +302,7 @@ def encode_child(
         "codec": "for_rows",
         "n": n,
         "rows": rows,
-        "pw": plane.dtype.itemsize,
+        "pw": pw,
         "bases": bases_desc,
         "wcodes": codes_desc,
         "buckets": buckets,
@@ -294,54 +311,58 @@ def encode_child(
     return [bases_blob, codes_blob] + sections, desc
 
 
+def _unpack(blob: bytes, desc: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(row bases, width codes, {code: (dict table | None, plane)}) of an
+    encoded child: a bucket's plane holds its residuals, or for the dict
+    bucket the ranks into the table."""
+    edges = np.cumsum([0] + desc["sections"]).tolist()
+    secs = [blob[a:b] for a, b in zip(edges, edges[1:])]
+    dt = np.dtype(intcodec._BYTE_WIDTH_DTYPE[desc["pw"]])
+    bases = intcodec.decode_plane(secs[0], desc["bases"]).view(dt)
+    codes = intcodec.decode_plane(secs[1], desc["wcodes"]).astype(np.uint8)
+    subs = {}
+    for s, b in zip(secs[2:], desc["buckets"]):
+        tbl = intcodec.decode_plane(s[: b["split"]], b["values"]) if "split" in b else None
+        subs[b["code"]] = (tbl, intcodec.decode_plane(s[b.get("split", 0) :], b["plane"]))
+    return bases, codes, subs
+
+
 def decode_child(blob: bytes, desc: dict, lengths: np.ndarray) -> np.ndarray:
     """Inverse of :func:`encode_child`; needs the row lengths the list
-    codec stores alongside."""
-    dt = np.dtype(intcodec._BYTE_WIDTH_DTYPE[desc["pw"]])
-    n = desc["n"]
-    secs = desc["sections"]
-    off = 0
-    bases = intcodec.decode_plane(blob[off : off + secs[0]], desc["bases"]).view(dt)
-    off += secs[0]
-    codes = intcodec.decode_plane(blob[off : off + secs[1]], desc["wcodes"]).astype(np.uint8)
-    off += secs[1]
-
+    codec stores alongside. Per block: the one bucket covering it adds
+    straight onto the expanded bases; otherwise each bucket scatters under
+    its code's mask into the zeroed block (zero-width rows keep 0) before
+    the base add."""
+    bases, codes, subs = _unpack(blob, desc)
     lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    done = dict.fromkeys(subs, 0)
 
-    def bucket_values(section: bytes, b: dict) -> np.ndarray:
-        if b["code"] == DICT_CODE:
-            split = b["split"]
-            vals = intcodec.decode_plane(section[:split], b["values"])
-            ranks = intcodec.decode_plane(section[split:], b["plane"])
-            return vals[ranks]  # table gather -> absolute values
-        return intcodec.decode_plane(section, b["plane"])
+    def next_part(c: int, k: int) -> np.ndarray:
+        tbl, p = subs[c]
+        part = p[done[c] : done[c] + k]
+        done[c] += k
+        return part if tbl is None else tbl[part]  # table gather -> values
 
-    bks = desc["buckets"]
-    if len(bks) == 1 and bks[0]["plane"]["n"] == n:
-        # single bucket covering every token: no expanded code plane, no
-        # scatter — the expanded row bases ARE the output plane (a fresh
-        # array, never scratch), with the residuals added in place
-        sub = bucket_values(blob[off : off + secs[2]], bks[0])
-        out = fill_rowwise(bases, lengths)
-        np.add(out, sub, out=out, casting="unsafe")
-        return out
-    # Multi-bucket: expand the per-row width codes to per-token, scatter
-    # each bucket's residuals under its code's mask into a zeroed plane
-    # (zero-width rows keep 0), then add the expanded row bases: two
-    # np.repeat expansions in all. (A row-granularity rewrite — concatenated
-    # -range indices per bucket, fused base-add — was tried and measured
-    # SLOWER: the int32 index plane costs more passes than the uint8 code
-    # plane + boolean masks it replaces.)
-    wtok = fill_rowwise(codes, lengths)
-    out = np.zeros(n, dtype=dt)  # the returned plane — never scratch
-    mask = scratch.arr("rc.mask", n, bool)
-    for i, b in enumerate(bks):
-        size = secs[2 + i]
-        sub = bucket_values(blob[off : off + size], b)
-        off += size
-        np.equal(wtok, b["code"], out=mask)
-        out[mask] = sub  # setitem upcasts narrow unsigned in place
-    np.add(out, fill_rowwise(bases, lengths), out=out)
+    out = np.empty(desc["n"], dtype=bases.dtype)  # the returned plane — never scratch
+    blocks = _blocks(offsets)
+    mask_buf = scratch.arr("rc.mask", max((t1 - t0 for _, _, t0, t1 in blocks), default=0), bool)
+    for r0, r1, t0, t1 in blocks:
+        ln, o = lengths[r0:r1], out[t0:t1]
+        per = np.bincount(codes[r0:r1], weights=ln, minlength=6)
+        live = [c for c in subs if per[c]]
+        base = fill_rowwise(bases[r0:r1], ln)
+        if len(live) == 1 and per[live[0]] == t1 - t0:
+            np.add(base, next_part(live[0], t1 - t0), out=o, casting="unsafe")
+            continue
+        wtok = fill_rowwise(codes[r0:r1], ln)
+        mask = mask_buf[: t1 - t0]
+        o[:] = 0
+        for c in live:
+            np.equal(wtok, c, out=mask)
+            o[mask] = next_part(c, int(per[c]))  # setitem upcasts narrow unsigned
+        np.add(o, base, out=o)
     return out
 
 
@@ -363,14 +384,7 @@ def stats_child(
     function returns None and the caller falls back to the full decode.
     Empty rows report sum 0 and min/max int64 sentinels, mirroring
     transforms.token_stats."""
-    dt = np.dtype(intcodec._BYTE_WIDTH_DTYPE[desc["pw"]])
-    secs = desc["sections"]
-    off = 0
-    bases = intcodec.decode_plane(blob[off : off + secs[0]], desc["bases"]).view(dt)
-    off += secs[0]
-    codes = intcodec.decode_plane(blob[off : off + secs[1]], desc["wcodes"]).astype(np.uint8)
-    off += secs[1]
-
+    bases, codes, subs = _unpack(blob, desc)
     lengths = np.asarray(lengths, dtype=np.int64)
     rows = len(lengths)
     base_i = bases.astype(np.int64)
@@ -378,14 +392,6 @@ def stats_child(
     mins = np.full(rows, np.iinfo(np.int64).max)
     maxs = np.full(rows, np.iinfo(np.int64).min)
     r_max = np.zeros(rows, dtype=np.uint64)  # per-row residual max, for the gate
-
-    def bucket_values(section: bytes, b: dict) -> np.ndarray:
-        if b["code"] == DICT_CODE:
-            split = b["split"]
-            vals = intcodec.decode_plane(section[:split], b["values"])
-            ranks = intcodec.decode_plane(section[split:], b["plane"])
-            return vals[ranks]
-        return intcodec.decode_plane(section, b["plane"])
 
     def fold(row_sel: np.ndarray, sub: np.ndarray | None) -> None:
         """Accumulate residual stats of the selected rows (concatenated in
@@ -408,20 +414,12 @@ def stats_child(
         maxs[idx] = mx.astype(np.int64)
         r_max[idx] = mx
 
-    bks = desc["buckets"]
-    if len(bks) == 1 and bks[0]["plane"]["n"] == desc["n"]:
-        sub = bucket_values(blob[off : off + secs[2]], bks[0])
-        fold(np.ones(rows, dtype=bool), sub)
-    else:
-        seen = np.zeros(rows, dtype=bool)
-        for i, b in enumerate(bks):
-            size = secs[2 + i]
-            sub = bucket_values(blob[off : off + size], b)
-            off += size
-            row_sel = codes == b["code"]
-            seen |= row_sel
-            fold(row_sel, sub)
-        fold(~seen, None)
+    seen = np.zeros(rows, dtype=bool)
+    for c, (tbl, sub) in subs.items():
+        row_sel = codes == c
+        seen |= row_sel
+        fold(row_sel, sub if tbl is None else tbl[sub])
+    fold(~seen, None)
 
     # no-wrap gate: every reconstructed value = base + residual must stay
     # inside the non-negative signed range of the plane width for plain

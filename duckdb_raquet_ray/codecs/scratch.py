@@ -23,6 +23,13 @@ codecs/rowcodec.py) rely instead on ``util.retain_heap``, which keeps
 freed blocks mapped on the stages' workers, so a warm partition reuses
 them without re-faulting.
 
+Size: the token kernel runs its passes per row-aligned block, so the pool
+is O(block) (residuals, masks, the dictionary histogram's int64 chunk)
+plus each width bucket's byte streams, not copies of the token plane.
+Measured after encoding the two 8 M-token partitions of the benchmark's
+``encode_fresh`` corpus: 17.4 MB, 2.2 bytes per int32 token (whole-plane
+passes held 151 MB, 18.9 bytes per token).
+
 Contract: a buffer named `tag` is INVALIDATED by the next `buf()`/`arr()`
 call with the same tag — callers must finish with (or copy out of) a
 scratch array before re-requesting its tag, and must never return scratch

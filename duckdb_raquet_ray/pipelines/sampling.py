@@ -127,7 +127,9 @@ def uniform_sample(
             "_u", pa.array((u[take] >> np.uint64(1)).astype(np.int64))
         )
 
-    cands = ds.map_batches(partial, batch_format="pyarrow")
+    # the sort's reduce concatenates the partials: strip the read blocks'
+    # pandas schema metadata first
+    cands = util.clean_dataset(ds).map_batches(partial, batch_format="pyarrow")
     return cands.sort(["_u", key_col]).limit(kk)
 
 

@@ -269,7 +269,10 @@ class TestCorruptStreamBoundaries:
 # name -> (plane dtype, signed, alphabet size, row kinds drawn uniformly).
 # Row kinds: "e" empty; "0".."4" a residual row whose values span
 # exactly _PIN_SPANS[k] above its base (width code k); "a" values drawn from one
-# shared alphabet (dict-eligible); "x" wide values outside the alphabet.
+# shared alphabet (dict-eligible); "h" that alphabet shifted to just under
+# 2^20 (the dict domain bound); "x" wide values outside the alphabet; "L" a
+# width-2 row longer than three 4096-token blocks; "b"/"B" width-1/width-2
+# rows of exactly 64 tokens, so 64-token blocks end on runs of empty rows.
 _PIN_FIXTURES = {
     "widths_u64": (np.uint64, False, 0, "e01234"),
     "dict_w1": (np.uint32, False, 64, "aaaae1x"),
@@ -280,8 +283,12 @@ _PIN_FIXTURES = {
     "i8": (np.int8, True, 0, "e01"),
     "i32": (np.int32, True, 0, "e0123"),
     "i64": (np.int64, True, 0, "e01234"),
+    "long_rows": (np.uint32, False, 64, "a1Le"),
+    "edge_empties": (np.uint32, False, 0, "eeebB"),
+    "dict_high": (np.uint32, False, 64, "hhhhe1x"),
 }
 _PIN_SPANS = {"0": 0, "1": 200, "2": 60_000, "3": 1 << 31, "4": 1 << 62}
+_PIN_SHAPES = {"L": ("2", 12_300), "b": ("1", 64), "B": ("2", 64)}  # (span kind, length)
 
 # sha256 of b"".join(sections) and of json.dumps(desc, sort_keys=True)
 _PIN_SHA = {
@@ -321,6 +328,18 @@ _PIN_SHA = {
         "5551cde3038cc4ced8077a9a3dfd05b78815d3d82d022ed7986387dafa5c2fa7",
         "f0c2c37739b3b5a5c84da9fdd71876a025e67464cb8b34c97a9dabad12d00736",
     ),
+    "long_rows": (
+        "828634566d5ba70fa83d10b7def3a76ff2a89ef71b67fe55adea22b2597bdecb",
+        "6e1fb8f093b2ed2c93cf407faf231b3024280aa845fa24dddb944eaf89d8b63c",
+    ),
+    "edge_empties": (
+        "cb5ff84d16c632b406ba5954e1fdacf24c1c5fc36e3ca39049b06ebdd71e3871",
+        "3460ced475e33de28026a1c54ad33b60b1254578a6c8ba4d3de08d2855acce27",
+    ),
+    "dict_high": (
+        "aacd8b87ad841288469cf76cc1603021dc7a395dfbc030d763d7ad31c6eba572",
+        "4c0e8d64e186439471a633d06f4fd366795ecbe8ac1d53354c02c5bad983cc5c",
+    ),
 }
 
 
@@ -337,14 +356,19 @@ def _for_rows_fixture(name):
             pieces.append(np.zeros(0, dtype=np.int64))
         elif k == "a":
             pieces.append(alphabet[rng.integers(0, card, size=rng.integers(20, 80))])
+        elif k == "h":
+            shift = (1 << 20) - 50_000
+            pieces.append(shift + alphabet[rng.integers(0, card, size=rng.integers(20, 80))])
         elif k == "x":
             pieces.append(rng.integers(60_000, 1 << 19, size=rng.integers(20, 80)))
         else:
-            span = _PIN_SPANS[k]
+            span_kind, size = _PIN_SHAPES.get(k, (k, None))
+            span = _PIN_SPANS[span_kind]
             lo = int(info.min) if signed else 0
             hi = int(info.max) - span if signed else 20_000
             base = int(rng.integers(lo, hi, endpoint=True))
-            row = base + rng.integers(0, span, size=rng.integers(2, 40), endpoint=True)
+            size = rng.integers(2, 40) if size is None else size
+            row = base + rng.integers(0, span, size=size, endpoint=True)
             row[[0, -1]] = base, base + span  # the row's range is exactly span
             pieces.append(row)
     vals = np.concatenate(pieces).astype(dt)
@@ -380,33 +404,59 @@ class TestRowcodecBytePin:
         assert shape("single_w1") == (2, [(1, 1, True)])
         assert [shape(n)[0] for n in ("i8", "i32", "i64")] == [1, 4, 8]
         assert {c for c, _, _ in shape("i64")[1]} == {1, 2, 3, 4}
+        assert (5, 1, False) in shape("dict_high")[1]
+        plane, offsets, _ = _for_rows_fixture("dict_high")
+        assert (1 << 20) - 5000 < int(plane.max()) < 1 << 20
+        lengths = np.diff(_for_rows_fixture("long_rows")[1])
+        assert (lengths > 3 * 4096).sum() > 10 and len(shape("long_rows")[1]) == 3
+        lengths = np.diff(_for_rows_fixture("edge_empties")[1])
+        assert set(lengths.tolist()) == {0, 64} and lengths[-1] == 0
+        assert {c for c, _, _ in shape("edge_empties")[1]} == {1, 2}
 
     @pytest.mark.parametrize("name", sorted(_PIN_FIXTURES))
     def test_bytes_and_descriptor_pinned(self, name):
-        plane, offsets, blob, desc = _pin_encode(name)
-        got = (
-            hashlib.sha256(blob).hexdigest(),
-            hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest(),
-        )
-        assert got == _PIN_SHA[name]
+        _check_pinned(name)
 
     @pytest.mark.parametrize("name", sorted(_PIN_FIXTURES))
     def test_decode_and_stats_roundtrip(self, name):
-        plane, offsets, blob, desc = _pin_encode(name)
-        lengths = np.diff(offsets)
-        np.testing.assert_array_equal(rowcodec.decode_child(blob, desc, lengths), plane)
-        res = rowcodec.stats_child(blob, desc, lengths)
-        if res is None:  # the caller then falls back to a full decode
-            assert _PIN_FIXTURES[name][1]  # only signed planes may wrap
-            return
-        ne = lengths > 0
-        v = plane.astype(np.int64)
-        starts = offsets[:-1][ne]
-        for got, fn, empty in zip(
-            res,
-            (np.add, np.minimum, np.maximum),
-            (0, np.iinfo(np.int64).max, np.iinfo(np.int64).min),
-        ):
-            want = np.full(len(lengths), empty, dtype=np.int64)
-            want[ne] = fn.reduceat(v, starts)
-            np.testing.assert_array_equal(got, want)
+        _check_roundtrip(name)
+
+    @pytest.mark.parametrize("block", [1, 3, 64, 4096])
+    def test_pins_hold_at_every_block_size(self, block, monkeypatch):
+        """Blocks end on row boundaries, so the block size never shows in
+        the bytes: every pin and round trip holds at any size, including
+        blocks shorter than one row and rows spanning many blocks."""
+        monkeypatch.setattr(rowcodec, "_BLOCK", block)
+        for name in sorted(_PIN_FIXTURES):
+            _check_pinned(name)
+            _check_roundtrip(name)
+
+
+def _check_pinned(name):
+    _, _, blob, desc = _pin_encode(name)
+    got = (
+        hashlib.sha256(blob).hexdigest(),
+        hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest(),
+    )
+    assert got == _PIN_SHA[name], name
+
+
+def _check_roundtrip(name):
+    plane, offsets, blob, desc = _pin_encode(name)
+    lengths = np.diff(offsets)
+    np.testing.assert_array_equal(rowcodec.decode_child(blob, desc, lengths), plane)
+    res = rowcodec.stats_child(blob, desc, lengths)
+    if res is None:  # the caller then falls back to a full decode
+        assert _PIN_FIXTURES[name][1]  # only signed planes may wrap
+        return
+    ne = lengths > 0
+    v = plane.astype(np.int64)
+    starts = offsets[:-1][ne]
+    for got, fn, empty in zip(
+        res,
+        (np.add, np.minimum, np.maximum),
+        (0, np.iinfo(np.int64).max, np.iinfo(np.int64).min),
+    ):
+        want = np.full(len(lengths), empty, dtype=np.int64)
+        want[ne] = fn.reduceat(v, starts)
+        np.testing.assert_array_equal(got, want)
