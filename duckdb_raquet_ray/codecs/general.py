@@ -39,7 +39,7 @@ ZSTD_LEVEL = int(os.environ.get("RAQUET_ZSTD_LEVEL", "1"))
 
 def compress(data, method: str = DEFAULT_GENERAL) -> bytes:
     """``data`` may be bytes or any buffer-protocol object (e.g. a numpy
-    scratch array) — compressors read it zero-copy; only the compressed
+    array) — compressors read it zero-copy; only the compressed
     output is a fresh bytes object."""
     if method == "zstd":
         return pa.Codec("zstd", compression_level=ZSTD_LEVEL).compress(data, asbytes=True)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as _pa
 
-from . import general, scratch
+from . import general
 
 U64 = np.uint64
 
@@ -291,9 +291,9 @@ def _byte_width(max_delta: int) -> int:
 
 def split_streams(deltas: np.ndarray) -> np.ndarray:
     """Narrowed deltas -> lane-major byte streams (low bytes of every value
-    together, then the next byte lane, ...) as a 1-D uint8 SCRATCH view —
-    callers compress it immediately (general.compress reads any buffer),
-    so the bytes never get copied out. Per-lane slice assignment: a
+    together, then the next byte lane, ...) as a 1-D uint8 array (a view
+    of ``deltas`` when w == 1) — callers compress it straight away
+    (general.compress reads any buffer). Per-lane slice assignment: a
     transposed `.T.tobytes()` copy iterates the output in C order with a
     w-element inner loop and measured ~5x slower; per-lane strided reads
     with contiguous writes keep numpy's inner loop long. Byte layout is
@@ -303,7 +303,7 @@ def split_streams(deltas: np.ndarray) -> np.ndarray:
     if w == 1:
         return deltas.view(np.uint8)
     dv = deltas.view(np.uint8).reshape(n, w)
-    out = scratch.arr("ic.split", n * w, np.uint8).reshape(w, n)
+    out = np.empty((w, n), dtype=np.uint8)
     for j in range(w):
         out[j] = dv[:, j]
     return out.reshape(-1)
@@ -329,12 +329,7 @@ def encode_for_bss(plane: np.ndarray, signed: bool) -> tuple[list[bytes], dict]:
     base, maxd = for_minmax(plane, signed)
     w = _byte_width(maxd)
     if len(plane):
-        # fused narrow-FOR into scratch: (plane - base) computed in plane
-        # width, truncated to the target width on store — identical bytes
-        # to narrow_deltas, no fresh allocation
-        deltas = scratch.arr("ic.narrow", len(plane), _BYTE_WIDTH_DTYPE[w])
-        np.subtract(plane, plane.dtype.type(base), out=deltas, casting="unsafe")
-        streams = split_streams(deltas)
+        streams = split_streams(narrow_deltas(plane, base, w))
         raw_size = int(streams.nbytes)
     else:
         streams = b""

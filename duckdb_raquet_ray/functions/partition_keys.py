@@ -26,7 +26,6 @@ import hashlib
 MODE_BIT = 1 << 63
 _PART_BITS = 31
 _SALT_BITS = 20
-SALT_BITS = _SALT_BITS  # public: vectorized grouped-pid math (encode_grouped)
 _PART_MASK = (1 << _PART_BITS) - 1
 _SALT_MASK = (1 << _SALT_BITS) - 1
 MAX_SHARD = (1 << 32) - 1

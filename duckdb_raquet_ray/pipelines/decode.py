@@ -40,7 +40,6 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from .. import blockcodec as bc
-from ..codecs import scratch
 from ..functions import partition_keys as pk
 from ..pipelines import transforms as tr
 from ..stages import encoder as enc
@@ -86,10 +85,9 @@ class PartitionDecoder:
     keeps it its own operator): a few partition files per input block
     (files_per_task) — read + decode in-process, so the large encoded blobs
     never round-trip through the object store; only the decoded rows enter
-    plasma and stream on with backpressure. Claims the scratch pool for
-    decode, so a worker that just encoded starts lean. Every block it sees
-    holds at least one path: Ray never calls a map_batches UDF on an
-    empty block."""
+    plasma and stream on with backpressure. Every block it sees holds at
+    least one path: Ray never calls a map_batches UDF on an empty
+    block."""
 
     def __init__(self, columns: list[str] | None = None, schema=None, transform=None):
         # `schema` is ignored, not an option: it stays only while the
@@ -97,7 +95,6 @@ class PartitionDecoder:
         self.columns = columns
         self.read_cols = enc.read_projection(columns)
         retain_heap()  # see encode.EncodeStage / util.retain_heap
-        scratch.claim("decode")
         # compute pushdown: apply a batch transform to each decoded
         # partition IN the decode task, so only the transform's output
         # (often per-row stats or an aggregate — a fraction of the decoded
@@ -241,7 +238,6 @@ class PartitionStatsDecoder:
 
     def __init__(self, tokens_column: str = "tokens"):
         retain_heap()  # see encode.EncodeStage / util.retain_heap
-        scratch.claim("decode")
         self.tokens_column = tokens_column
 
     def __call__(self, batch: pa.Table) -> pa.Table:

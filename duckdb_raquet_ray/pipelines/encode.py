@@ -45,7 +45,6 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..codecs import scratch
 from ..functions import partition_keys as pk
 from ..util import LocalDict, default_concurrency, map_stage, retain_heap
 from ..stages import encoder as enc
@@ -280,18 +279,16 @@ def journal_stage(
 class EncodeStage:
     """Base of the stages `journal_stage` runs: each subclass's OWN
     ``__call__`` picks the rows and hands them to `publish_partition`.
-    The per-process state — the scratch pool and the retained heap, the
-    reference's per-thread lazy state (read_raster.cpp:264-286,
-    1230-1242) — is module-level, so a warm worker keeps it across jobs."""
+    The per-process state — the retained heap, the reference's
+    per-thread lazy state (read_raster.cpp:264-286, 1230-1242) — is
+    module-level, so a warm worker keeps it across jobs."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         os.makedirs(out_dir, exist_ok=True)
-        # keep freed task memory mapped (glibc mmap thresholds + jemalloc
-        # decay): re-faulting purged pages measurably dominates encode at
-        # high parallelism (same rationale as codecs/scratch.py for numpy)
+        # keep freed task memory mapped: re-faulting purged pages
+        # measurably dominates encode at high parallelism
         retain_heap()
-        scratch.claim("encode")
 
     @staticmethod
     def results(rows: list[dict]) -> pa.Table:

@@ -28,7 +28,8 @@ BETTER (BASELINE.md addendum). Use grouped mode for its source-
 partitioned LAYOUT: `read_encoded_source` opens only one source's
 partition files (pruned reads), and skewed sources are salted flat.
 
-Partition id = pack_grouped(source, salt) (functions/partition_keys.py);
+Partition id = pack_grouped(source, salt) (functions/partition_keys.py),
+which each row carries through the shuffle as its one key, `_pid`;
 within a group, rows are sorted by doc_id before encoding so the output is
 a pure function of the group *set*, not of shuffle arrival order —
 bit-identity across resumed/re-sharded runs.
@@ -41,7 +42,9 @@ import os
 import shutil
 import uuid
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
@@ -52,69 +55,70 @@ from ..state import manifest as mf
 
 # ~25k rows ≈ 40 MB decoded per group: measured 7x faster end-to-end than
 # 100k-row groups (15.9 s vs 106-113 s on the 2 M-row bench corpus) at a
-# 0.8 % ratio cost — big groups starve parallelism (32 groups on 32 cpus),
-# never amortize the per-worker codec scratch pool, and push 170 MB blocks
-# through the object store
+# 0.8 % ratio cost — big groups starve parallelism (32 groups on 32 cpus)
+# and push 170 MB blocks through the object store
 DEFAULT_GROUP_ROWS = 25_000
 NULL_SOURCE_KEY = "\x00<null-source>"  # partition-key stand-in for source IS NULL
 
 
-def _salts(batch: pa.Table, salt_map: dict[str, int], key: str = "doc_id") -> pa.Table:
-    """Vectorized salt column: pandas' stable 64-bit string hasher (siphash,
-    fixed key — C speed, deterministic across runs and topologies) over the
-    doc key, modulo the source's bucket count."""
-    import numpy as np
+def _pids(batch: pa.Table, salt_map: dict[str, int], key: str = "doc_id") -> np.ndarray:
+    """Each row's grouped partition id, pack_grouped(source, 0) + salt: the
+    one shuffle key. The salt is pandas' stable 64-bit string hash
+    (siphash, fixed key — C speed, deterministic across runs and
+    topologies) of the doc key, modulo the source's bucket count; null
+    sources key as NULL_SOURCE_KEY."""
     import pandas as pd
 
     h = pd.util.hash_pandas_object(batch.column(key).to_pandas(), index=False).to_numpy()
-    src = batch.column("source").to_pandas().fillna(NULL_SOURCE_KEY)
-    mapped = src.map(salt_map)
-    if mapped.isna().any():
-        missing = sorted(src[mapped.isna()].unique())
+    src = pc.fill_null(batch.column("source"), NULL_SOURCE_KEY).combine_chunks().dictionary_encode()
+    names = src.dictionary.to_pylist()  # few distinct
+    missing = sorted(s for s in names if s not in salt_map)
+    if missing:
         raise ValueError(
             f"sources {missing} absent from the job's salt_map — encoding "
             "them under a default salt would make read_encoded_source "
             "return empty for them (the manifest records the planned map); "
             "re-plan with resume=False or extend the input at plan time"
         )
-    mods = mapped.to_numpy(dtype=np.uint64)
-    salts = (h % mods).astype(np.int32)
-    # group key column with nulls replaced: Ray's sort shuffle cannot
-    # compare None with str; the real (nullable) source column rides along
-    # untouched and round-trips bit-exactly
-    gsrc = src.to_numpy(dtype=object)
-    batch = batch.append_column("_gsrc", pa.array(gsrc, type=pa.string()))
-    return batch.append_column("_salt", pa.array(salts, type=pa.int32()))
+    idx = src.indices.to_numpy()
+    first = np.array([pk.pack_grouped(s, 0) for s in names], dtype=np.uint64)
+    mods = np.array([salt_map[s] for s in names], dtype=np.uint64)
+    return first[idx] + h % mods[idx]
 
 
-def _done_salts_by_source(done: set[int], salt_map: dict[str, int]) -> dict[str, object]:
-    """Invert finished partition ids -> {source: sorted array of done salts}
-    by enumerating the (source, salt) domain from the salt map (tiny:
-    sum of bucket counts). Lets resume drop finished groups' rows BEFORE
-    the shuffle instead of after it."""
-    import numpy as np
-
-    out: dict[str, object] = {}
-    for s, buckets in salt_map.items():
-        salts = [k for k in range(buckets) if pk.pack_grouped(s, k) in done]
-        if salts:
-            out[s] = np.array(salts, dtype=np.int32)
-    return out
-
-
-def _drop_done_groups(batch: pa.Table, done_by_source: dict[str, object]) -> pa.Table:
-    """Filter out rows of already-encoded (source, salt) groups. Vectorized
-    per distinct source (low-cardinality by construction)."""
-    import numpy as np
-
-    src = batch.column("_gsrc").to_numpy(zero_copy_only=False)
-    salt = batch.column("_salt").to_numpy(zero_copy_only=False)
-    keep = np.ones(len(src), dtype=bool)
-    for s, done_salts in done_by_source.items():
-        rows = src == s
-        if rows.any():
-            keep[rows] &= ~np.isin(salt[rows], done_salts)
-    return batch.filter(pa.array(keep))
+def write_pieces(
+    batch: pa.Table, salt_map: dict[str, int], done_ids: np.ndarray, n_buckets: int,
+    shuffle_dir: str,
+) -> pa.Table:
+    """Map side of the grouped shuffle: key every row by its partition id
+    (`_pid`), drop the rows of groups a resumed run already finished (so
+    it spills only the remaining rows), and append the rest to one piece
+    file per bucket present. Returns one (bucket, path, bytes) row per
+    piece."""
+    pid = _pids(batch, salt_map)
+    rows = np.flatnonzero(~np.isin(pid, done_ids))
+    # mix before the modulus: pid packs salt into the LOW bits
+    # (source_hash << SALT_BITS | salt), so a power-of-two n_buckets
+    # (including the 4096 cap) would reduce to `salt % n_buckets` and
+    # collapse every source's salt-0 group into ONE reduce bucket —
+    # exactly the skew this repartition exists to remove
+    bucket = (detmix.splitmix64(pid[rows]) % np.uint64(n_buckets)).astype(np.int32)
+    order = np.argsort(bucket, kind="stable")
+    batch = batch.append_column("_pid", pa.array(pid)).take(pa.array(rows[order]))
+    bsorted = bucket[order]
+    uniq, first = np.unique(bsorted, return_index=True)
+    ends = np.append(first[1:], len(bsorted))
+    tag = uuid.uuid4().hex[:12]
+    buckets_out, paths_out, bytes_out = [], [], []
+    for b, s0, s1 in zip(uniq.tolist(), first.tolist(), ends.tolist()):
+        p = os.path.join(shuffle_dir, f"b{b:05d}-{tag}.parquet")
+        pq.write_table(batch.slice(s0, s1 - s0), p, compression="lz4")
+        buckets_out.append(b)
+        paths_out.append(p)
+        bytes_out.append(os.path.getsize(p))
+    return pa.table({"bucket": pa.array(buckets_out, pa.int32()),
+                     "path": pa.array(paths_out, pa.string()),
+                     "bytes": pa.array(bytes_out, pa.int64())})
 
 
 def compute_salt_map(ds: rd.Dataset, target_rows: int = DEFAULT_GROUP_ROWS) -> dict[str, int]:
@@ -197,75 +201,31 @@ def encode_job_grouped(
             out_dir,
             {"mode": "grouped", "target_group_rows": target_group_rows, "salt_map": salt_map},
         )
-    done = mf.done_partition_ids(out_dir) if resume else set()
-
-    salted = ds.map_batches(
-        lambda b: _salts(b, salt_map), batch_format="pyarrow", batch_size=16384
-    )
-    if done:
-        # resume: drop finished groups' rows BEFORE the shuffle — a resumed
-        # run spills only the remaining rows, not 100% of the corpus just
-        # to skip groups inside the encoder
-        done_by_source = _done_salts_by_source(done, salt_map)
-        salted = salted.map_batches(
-            lambda b: _drop_done_groups(b, done_by_source), batch_format="pyarrow"
-        )
+    # resume: drop finished groups' rows BEFORE the shuffle
+    done_ids = np.array(sorted(mf.done_partition_ids(out_dir)) if resume else [], np.uint64)
 
     # --- hash-bucket streaming repartition (NO sort shuffle) ------------
-    # The old shape was groupby(["_gsrc","_salt"]).map_groups — Ray's
-    # sort-based all-to-all over the whole corpus just to obtain a LAYOUT.
-    # Instead: map tasks append each block's rows to per-BUCKET piece
-    # files (bucket = partition_id % n_buckets, so a group always lands
-    # whole in one bucket), then one reduce task per bucket reads its
-    # pieces and encodes its few groups. Data flows through the job's
-    # output filesystem (shared storage on a real cluster — the same
-    # assumption the part files themselves make), never through a sort.
+    # Ray's sort-based groupby would be an all-to-all over the whole
+    # corpus just to obtain a LAYOUT. Instead: map tasks append each
+    # block's rows to per-BUCKET piece files (bucket = partition_id %
+    # n_buckets, so a group always lands whole in one bucket), then one
+    # reduce task per bucket reads its pieces and encodes its few groups.
+    # Data flows through the job's output filesystem (shared storage on a
+    # real cluster — the same assumption the part files themselves make),
+    # never through a sort.
     n_groups = sum(salt_map.values())
     n_buckets = max(1, min(4096, math.ceil(n_groups / 4)))
     shuffle_dir = os.path.join(out_dir, "_shuffle")
     shutil.rmtree(shuffle_dir, ignore_errors=True)
     os.makedirs(shuffle_dir, exist_ok=True)
 
-    def write_pieces(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-
-        if batch.num_rows == 0:
-            return pa.table({"bucket": pa.array([], pa.int32()),
-                             "path": pa.array([], pa.string())})
-        src = batch.column("_gsrc").to_pandas()
-        salt = np.asarray(batch.column("_salt")).astype(np.uint64)
-        sh = {s: pk.source_hash(s) for s in src.unique()}  # few distinct
-        pid = (
-            np.uint64(pk.MODE_BIT)
-            | (src.map(sh).to_numpy(dtype=np.uint64) << np.uint64(pk.SALT_BITS))
-            | salt
-        )
-        # mix before the modulus: pid packs salt into the LOW bits
-        # (source_hash << SALT_BITS | salt), so a power-of-two n_buckets
-        # (including the 4096 cap) would reduce to `salt % n_buckets` and
-        # collapse every source's salt-0 group into ONE reduce bucket —
-        # exactly the skew this repartition exists to remove
-        bucket = (detmix.splitmix64(pid) % np.uint64(n_buckets)).astype(np.int32)
-        order = np.argsort(bucket, kind="stable")
-        batch = batch.take(pa.array(order))
-        bsorted = bucket[order]
-        uniq, first = np.unique(bsorted, return_index=True)
-        ends = np.append(first[1:], len(bsorted))
-        tag = uuid.uuid4().hex[:12]
-        buckets_out, paths_out, bytes_out = [], [], []
-        for b, s0, s1 in zip(uniq.tolist(), first.tolist(), ends.tolist()):
-            p = os.path.join(shuffle_dir, f"b{b:05d}-{tag}.parquet")
-            pq.write_table(batch.slice(s0, s1 - s0), p, compression="lz4")
-            buckets_out.append(b)
-            paths_out.append(p)
-            bytes_out.append(os.path.getsize(p))
-        return pa.table({"bucket": pa.array(buckets_out, pa.int32()),
-                         "path": pa.array(paths_out, pa.string()),
-                         "bytes": pa.array(bytes_out, pa.int64())})
-
-    piece_rows = salted.map_batches(
-        write_pieces, batch_format="pyarrow", batch_size=None
+    # each call writes one piece per bucket it holds, so bigger batches
+    # write fewer pieces; but 32k-row batches stalled a 0.4 GiB object
+    # store (45 s against 5 s for the benchmark's grouped job)
+    piece_rows = ds.map_batches(
+        write_pieces, batch_format="pyarrow", batch_size=16384,
+        fn_kwargs={"salt_map": salt_map, "done_ids": done_ids, "n_buckets": n_buckets,
+                   "shuffle_dir": shuffle_dir},
     ).take_all()  # O(blocks x buckets-present) tiny rows
     by_bucket: dict[int, list[str]] = {}
     bucket_bytes: dict[int, int] = {}
@@ -314,30 +274,29 @@ class BucketEncoder(encode.EncodeStage):
         self.salt_map = salt_map
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-
         rows = []
         for item in batch.to_pylist():
             t = pa.concat_tables([pq.read_table(p) for p in item["paths"]])
-            src = t.column("_gsrc").to_numpy(zero_copy_only=False)
-            salt = t.column("_salt").to_numpy(zero_copy_only=False)
-            order = np.lexsort((salt, src))
-            t = t.take(pa.array(order))
-            src, salt = src[order], salt[order]
-            change = np.nonzero((src[1:] != src[:-1]) | (salt[1:] != salt[:-1]))[0] + 1
-            starts = np.concatenate(([0], change, [len(src)]))
-            for s0, s1 in zip(starts[:-1], starts[1:]):
-                source, k = str(src[s0]), int(salt[s0])
+            pid = t.column("_pid").to_numpy()
+            order = np.argsort(pid, kind="stable")
+            t, pid = t.take(pa.array(order)), pid[order]
+            starts = np.concatenate(([0], np.flatnonzero(pid[1:] != pid[:-1]) + 1, [len(pid)]))
+            for s0, s1 in zip(starts[:-1].tolist(), starts[1:].tolist()):
                 # composite sort key: bit-identity across runs requires a
                 # total order; doc_id alone leaves duplicate-key rows in
-                # shuffle-arrival order (rows identical in all three keys
-                # but differing elsewhere remain the one unordered residue
-                # — documented limitation)
+                # shuffle-arrival order (rows identical in both keys but
+                # differing elsewhere remain the one unordered residue —
+                # documented limitation). Sorted per group, not in one
+                # bucket-wide sort: a slice of a sorted table reports other
+                # `nbytes`, which the journal records as input_bytes
                 group = t.slice(s0, s1 - s0).sort_by(
-                    [("doc_id", "ascending"), ("n_tok", "ascending"), ("_gsrc", "ascending")]
-                ).drop_columns(["_salt", "_gsrc"])
+                    [("doc_id", "ascending"), ("n_tok", "ascending")]
+                ).drop_columns(["_pid"])
+                source = group.column("source")[0].as_py()
+                source = NULL_SOURCE_KEY if source is None else source
+                k = pk.unpack_grouped(pid[s0])[1]
                 rows.append(encode.publish_partition(
-                    self.out_dir, group, pk.pack_grouped(source, k),
+                    self.out_dir, group, int(pid[s0]),
                     extra={"group": {"source": source, "salt": k,
                                      "n_buckets": self.salt_map.get(source, 1)}},
                     input_shard=f"group:{source}/{k}", row_range=None,

@@ -18,7 +18,7 @@ One *partition* (a contiguous row range of one input shard, or one
 
 The pipeline stages (pipelines/encode.py, pipelines/decode.py) run this
 module's functions as Ray tasks (util.map_stage); per-process state — the
-codec scratch pool, the retained heap — is module-level, the reference's
+retained heap (util.retain_heap) — is module-level, the reference's
 lazily-initialized per-thread state (read_raster.cpp:264-286).
 """
 
@@ -55,28 +55,6 @@ def _stat_col_names(schema: pa.Schema) -> list[str]:
         if pa.types.is_integer(t):
             out.append(f.name)
     return out
-
-
-def encoded_schema(schema_or_names: pa.Schema | list[str]) -> pa.Schema:
-    fields = [
-        pa.field("partition_id", pa.uint64()),
-        pa.field("n_rows", pa.int64()),
-        pa.field("codec_meta", pa.string()),
-    ]
-    if isinstance(schema_or_names, pa.Schema):
-        names = schema_or_names.names
-        stat_names = _stat_col_names(schema_or_names)
-    else:
-        names = list(schema_or_names)
-        stat_names = []
-    fields += [pa.field(f"col_{c}", pa.binary()) for c in names]
-    for c in stat_names:
-        fields += [
-            pa.field(f"stat_{c}_count", pa.int64()),
-            pa.field(f"stat_{c}_min", pa.int64()),
-            pa.field(f"stat_{c}_max", pa.int64()),
-        ]
-    return pa.schema(fields)
 
 
 def _collect_fsst_hashes(desc: dict, out: list[str]) -> None:
@@ -297,9 +275,8 @@ def encode_batch(batch: pa.Table, key_column: str | None = None) -> pa.Table:
     content-derived (stable hash of the first doc key + row count) because
     Ray's batch boundaries are not topology-deterministic — use the
     file-writing job (pipelines/encode.py) when exact lineage/resume is
-    required."""
-    if batch.num_rows == 0:
-        return encoded_schema(batch.schema).empty_table()
+    required. Never called on an empty batch: Ray runs no map_batches UDF
+    on an empty block."""
     key_col = key_column or batch.column_names[0]
     first = str(batch.column(key_col)[0].as_py())
     h = hashlib.sha256(f"{first}:{batch.num_rows}".encode())

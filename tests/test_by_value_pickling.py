@@ -12,6 +12,7 @@ fail under full registration) and pickles every module and function."""
 import importlib
 import pkgutil
 
+import pyarrow as pa
 import pytest
 
 import duckdb_raquet_ray as pkg
@@ -51,26 +52,26 @@ def test_module_pickles_by_value(registered_modules, name):
             cp.dumps(val)
 
 
-def test_scratch_pool_pickles_empty(registered_modules):
-    """The codec scratch pool must NOT travel inside UDF pickles: a
-    populated pool would bloat every task payload with the driver's
-    buffers, and unpickled arrays arrive read-only — `out[:] = 0` in the
-    worker then raises (observed live: point_lookup populated the driver
-    pool, the next query's UDF shipped it, verify_bitidentity crashed)."""
+def test_local_dict_pickles_empty(registered_modules):
+    """Per-process module state (util.LocalDict) must NOT travel inside UDF
+    pickles: the delete key memo, encode._KEYS, populated on the driver
+    would bloat every task payload with the driver's key set (the same
+    shape once crashed a query: a pickled buffer pool arrived read-only
+    in the worker)."""
     from ray import cloudpickle as cp
 
-    from duckdb_raquet_ray.codecs import scratch
+    from duckdb_raquet_ray.pipelines import encode
 
-    scratch.buf("guard.test", 1 << 20)
-    assert len(scratch._BUFS) > 0
-    blob = cp.dumps(scratch)
-    assert len(blob) < 256 * 1024, "scratch buffers leaked into the module pickle"
-    restored = cp.loads(cp.dumps(scratch._BUFS))
-    assert restored == {}  # pool pickles as empty
-    # a function referencing the module must stay small too
-    blob_fn = cp.dumps(scratch.buf)
-    assert len(blob_fn) < 256 * 1024
-    scratch.clear()
+    keys = [f"doc-{i}" for i in range(100_000)]
+    encode._key_values(keys, pa.string())
+    assert len(encode._KEYS) > 0
+    blob = cp.dumps(encode)
+    assert len(blob) < 256 * 1024, "the key memo leaked into the module pickle"
+    restored = cp.loads(cp.dumps(encode._KEYS))
+    assert restored == {} and type(restored) is type(encode._KEYS)
+    # a function referencing the module state must stay small too
+    assert len(cp.dumps(encode._key_values)) < 256 * 1024
+    encode._KEYS.clear()
 
 
 def test_syswebp_pickles_after_library_load(registered_modules):

@@ -140,22 +140,24 @@ class TestGroupedEncode:
         assert cfg["mode"] == "grouped" and cfg["target_group_rows"] == 2000
         assert cfg["salt_map"]
 
-    def test_done_group_rows_dropped_before_shuffle(self):
-        """Resume pre-filter: rows of finished (source, salt) groups are
-        removed from the stream BEFORE the groupby shuffle."""
+    def test_done_group_rows_dropped_before_shuffle(self, tmp_path):
+        """Resume pre-filter: write_pieces keys every row by its grouped
+        partition id and drops the rows of finished (source, salt) groups
+        before they reach a piece file."""
         import numpy as np
-        import pyarrow as pa
 
-        salt_map = {"web": 3, "code": 1}
-        done = {pk.pack_grouped("web", 1), pk.pack_grouped("code", 0)}
-        by_src = eg._done_salts_by_source(done, salt_map)
-        assert list(by_src["web"]) == [1] and list(by_src["code"]) == [0]
-        batch = pa.table(
-            {
-                "_gsrc": pa.array(["web", "web", "web", "code", "web"]),
-                "_salt": pa.array(np.array([0, 1, 2, 0, 1], dtype=np.int32)),
-                "doc_id": pa.array(list("abcde")),
-            }
-        )
-        kept = eg._drop_done_groups(batch, by_src)
-        assert kept.column("doc_id").to_pylist() == ["a", "c"]
+        sources = ["web", "code", None, "web"] * 50
+        batch = pa.table({"doc_id": [f"d{i}" for i in range(200)], "source": sources})
+        salt_map = {"web": 3, "code": 1, eg.NULL_SOURCE_KEY: 2}
+        pid = eg._pids(batch, salt_map)
+        for s, p in zip(sources, pid.tolist()):
+            s = eg.NULL_SOURCE_KEY if s is None else s
+            assert p in {pk.pack_grouped(s, k) for k in range(salt_map[s])}
+        done = np.array([pk.pack_grouped("web", 1), pk.pack_grouped("code", 0)], np.uint64)
+        pieces = eg.write_pieces(batch, salt_map, done, 4, str(tmp_path))
+        kept = pa.concat_tables([pq.read_table(p) for p in pieces.column("path").to_pylist()])
+        live = ~np.isin(pid, done)
+        assert 0 < live.sum() < 150  # all of code and part of web dropped
+        assert sorted(kept.column("doc_id").to_pylist()) == sorted(
+            np.array(batch.column("doc_id").to_pylist())[live].tolist())
+        assert sorted(kept.column("_pid").to_pylist()) == sorted(pid[live].tolist())

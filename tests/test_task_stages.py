@@ -1,6 +1,6 @@
 """The partition stages run as Ray Data task stages (util.map_stage): no
-CPU stays held after a job, decode never fuses into a downstream map, a
-worker's scratch pool changes hands cleanly between stage families, and
+CPU stays held after a job, decode never fuses into a downstream map,
+encode's temporaries grow by byte streams rather than token planes, and
 a delete's key set is built once per worker process. The encoder-family
 stages share one rewrite core (encode.publish_partition /
 encode.journal_stage): each keeps its own ``__call__``, the grouped
@@ -13,6 +13,7 @@ import os
 import re
 import shutil
 import time
+import tracemalloc
 
 import numpy as np
 import pyarrow as pa
@@ -22,7 +23,7 @@ import pytest
 import ray
 
 from duckdb_raquet_ray import planner
-from duckdb_raquet_ray.codecs import fsst, scratch
+from duckdb_raquet_ray.codecs import fsst
 from duckdb_raquet_ray.functions import partition_keys as pk
 from duckdb_raquet_ray.pipelines import decode, encode
 from duckdb_raquet_ray.pipelines import encode_grouped as eg
@@ -135,12 +136,6 @@ def test_scans_of_no_partitions_are_empty(enc_dir):
     assert decode.read_encoded_range(d, "n_tok", lo=10**9).count() == 0
 
 
-_ENCODE_ONLY_TAGS = {
-    "rc.p64", "rc.dflag", "rc.resid", "rc.s1", "rc.s2", "rc.s3", "rc.s4", "rc.s5",
-    "ic.split", "ic.narrow",
-}
-
-
 def test_fsst_column_with_a_full_symbol_table_decodes_from_blob_views(tmp_path):
     """A table of more than 127 symbols (the count byte reads negative as
     a signed byte) decodes through decode_rows and both decode stages,
@@ -159,50 +154,33 @@ def test_fsst_column_with_a_full_symbol_table_decodes_from_blob_views(tmp_path):
     paths = pa.table({"path": [path]})
     assert decode.PartitionDecoder()(paths).equals(t)
     assert decode.PartitionStatsDecoder()(paths).column("doc_id").equals(t.column("doc_id"))
-    scratch.clear()
 
 
-def test_scratch_claim_switch_releases_encoder_buffers(tmp_path):
-    """Encode then decode in one process: the decode stage's claim drops
-    every encoder buffer; a repeat claim of the same kind is a no-op."""
-    paths = tokens.write_corpus(str(tmp_path / "c"), 2000, 1, row_group_rows=1024)
-    out = str(tmp_path / "enc")
-    item = encode.plan_partitions(paths, 1)[0]
-    encode.PartitionEncoder(out)(pa.Table.from_pylist([item]))
-    assert scratch._BUFS.kind == "encode"
-    assert _ENCODE_ONLY_TAGS & set(scratch._BUFS), "encode drew no scratch"
-    before = dict(scratch._BUFS)
-    scratch.claim("encode")
-    assert scratch._BUFS.keys() == before.keys()
-    assert all(scratch._BUFS[t] is before[t] for t in before)
-
-    stage = decode.PartitionDecoder()
-    assert scratch._BUFS.kind == "decode" and not scratch._BUFS
-    path = os.path.join(out, pk.part_file_name(item["partition_id"]))
-    assert stage(pa.table({"path": [path]})).num_rows == 1024
-    assert not _ENCODE_ONLY_TAGS & set(scratch._BUFS)
-    before = dict(scratch._BUFS)
-    scratch.claim("decode")
-    assert scratch._BUFS.keys() == before.keys()
-    assert all(scratch._BUFS[t] is before[t] for t in before)
-    scratch.clear()
+def _encode_peak(table: pa.Table) -> int:
+    """Traced peak bytes (numpy and Python allocations) of one warm
+    encode_table call with its plan precomputed."""
+    plan = planner.plan_table(table)
+    enc.encode_table(table, 0, "shard", plan=plan)
+    tracemalloc.start()
+    try:
+        enc.encode_table(table, 0, "shard", plan=plan)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def test_encode_scratch_grows_by_streams_not_planes(tmp_path):
-    """The encoder's pool holds block-sized temporaries and the bucket byte
-    streams, not copies of the token plane: from a 1024-row partition to a
-    4096-row one it grows by under 3 bytes per added int32 token."""
-    pools, toks = [], []
-    for rows in (1024, 4096):
+def test_encode_peak_grows_by_streams_not_planes(tmp_path):
+    """encode_table's temporaries are block-sized plus the bucket byte
+    streams, not copies of the token plane: from a 4,096-row partition to
+    a 16,384-row one its traced peak grows by under 4 bytes per added
+    int32 token (one whole-plane int64 copy alone adds 8)."""
+    peaks, toks = [], []
+    for rows in (4096, 16384):
         paths = tokens.write_corpus(str(tmp_path / f"c{rows}"), rows, 1, row_group_rows=rows)
-        scratch.clear()
-        item = encode.plan_partitions(paths)[0]
-        encode.PartitionEncoder(str(tmp_path / f"e{rows}"))(pa.Table.from_pylist([item]))
-        pools.append(sum(b.nbytes for b in scratch._BUFS.values()))
-        col = pq.read_table(paths[0], columns=["tokens"]).column("tokens")
-        toks.append(pc.list_value_length(col).to_numpy().sum())
-    scratch.clear()
-    assert pools[1] - pools[0] < 3 * (toks[1] - toks[0])
+        table = pq.read_table(paths[0])
+        peaks.append(_encode_peak(table))
+        toks.append(pc.sum(pc.list_value_length(table.column("tokens"))).as_py())
+    assert peaks[1] - peaks[0] < 4 * (toks[1] - toks[0])
 
 
 def test_delete_key_set_built_once_per_process(enc_dir, tmp_path, monkeypatch):
@@ -250,8 +228,8 @@ def test_encoder_stages_own_call_and_return_entry_json(enc_dir, tmp_path):
     pid, key = _first_key(d)
     table = pq.read_table(paths[0])
     salt_map = {s: 2 for s in table.column("source").to_pandas().fillna(eg.NULL_SOURCE_KEY)}
-    piece = str(tmp_path / "piece.parquet")
-    pq.write_table(eg._salts(table, salt_map), piece)
+    pieces = eg.write_pieces(table, salt_map, np.array([], np.uint64), 1, str(tmp_path))
+    piece = pieces.column("path")[0].as_py()
     dd = shutil.copytree(d, str(tmp_path / "del"))
     runs = [
         (encode.PartitionEncoder, (str(tmp_path / "e"),), encode.plan_partitions(paths, 1)[:1]),
