@@ -2274,7 +2274,7 @@ def _q_objectstore_publish_stats(sf_dir: str):
 
     parts = sorted(_glob.glob(os.path.join(out, "part-*.parquet")))
     back = rd.read_parquet(parts).map_batches(
-        _ft.partial(encoder.decode_batch, columns=["source", "text"]),
+        _ft.partial(encoder.decode_rows, columns=["source", "text"]),
         batch_format="pyarrow",
     )
 

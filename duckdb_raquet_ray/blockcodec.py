@@ -240,7 +240,7 @@ def _primitive_np(arr: pa.Array) -> np.ndarray:
     return _fill_nulls_primitive(arr).to_numpy(zero_copy_only=False)
 
 
-def encode_primitive(arr: pa.Array, codec: str, general_method: str | None = None) -> tuple[bytes, dict]:
+def encode_primitive(arr: pa.Array, codec: str) -> tuple[bytes, dict]:
     n = len(arr)
     sections, valid = _validity_section(arr)
     desc: dict = {
@@ -266,10 +266,9 @@ def encode_primitive(arr: pa.Array, codec: str, general_method: str | None = Non
         sections.append(np.ascontiguousarray(vals).tobytes())
     elif codec == "general":
         raw = np.ascontiguousarray(vals).tobytes()
-        method = general_method or general.DEFAULT_GENERAL
-        desc["general"] = method
+        desc["general"] = general.DEFAULT_GENERAL
         desc["raw_size"] = len(raw)
-        sections.append(general.compress(raw, method))
+        sections.append(general.compress(raw))
     else:
         raise ValueError(f"unknown primitive codec {codec!r}")
     desc["sections"] = [len(s) for s in sections]
@@ -330,7 +329,7 @@ def _encode_lengths(lengths: np.ndarray) -> tuple[bytes, dict]:
     return intcodec.encode_plane(plane, "for_bitpack", False)
 
 
-def encode_string(arr: pa.Array, codec: str, general_method: str | None = None) -> tuple[bytes, dict]:
+def encode_string(arr: pa.Array, codec: str) -> tuple[bytes, dict]:
     n = len(arr)
     sections, _ = _validity_section(arr)
     desc: dict = {
@@ -361,19 +360,14 @@ def encode_string(arr: pa.Array, codec: str, general_method: str | None = None) 
             codec = "general" if len(trial_z) < len(data) else "plain"
             desc["codec"] = codec
         if codec == "plain":
-            body, bdesc = data, None
+            body = data
         elif codec == "general":
-            method = general_method or general.DEFAULT_GENERAL
-            desc["general"] = method
+            desc["general"] = general.DEFAULT_GENERAL
             desc["raw_size"] = len(data)
-            # reuse the trial compression when it used the same method
-            if trial_z is not None and method == general.DEFAULT_GENERAL:
-                body, bdesc = trial_z, None
-            else:
-                body, bdesc = general.compress(data, method), None
+            # reuse the auto_bytes trial compression
+            body = general.compress(data) if trial_z is None else trial_z
         elif codec == "fsst":
-            body, bdesc = fsst_mod.encode_bytes(data)
-            desc["fsst"] = bdesc
+            body, desc["fsst"] = fsst_mod.encode_bytes(data)
         else:
             raise ValueError(f"unknown string codec {codec!r}")
         sections += [len_blob, body]
@@ -562,8 +556,8 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, choice: dict) -> tuple[bytes, 
     if pa.types.is_list(t) or pa.types.is_large_list(t):
         return encode_list(arr, choice.get("child", {"codec": "plain"}))
     if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t) or pa.types.is_large_binary(t):
-        return encode_string(arr, choice["codec"], choice.get("general"))
-    return encode_primitive(arr, choice["codec"], choice.get("general"))
+        return encode_string(arr, choice["codec"])
+    return encode_primitive(arr, choice["codec"])
 
 
 def decode_array(blob: bytes, desc: dict) -> pa.Array:

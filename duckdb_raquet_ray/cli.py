@@ -287,7 +287,6 @@ def main(argv: list[str] | None = None) -> None:
     try:
         if args.cmd == "encode":
             from .pipelines import encode, encode_grouped
-            from .state import manifest as mf
 
             paths = _inputs(args.input)
             resume = not args.no_resume
@@ -300,16 +299,9 @@ def main(argv: list[str] | None = None) -> None:
                     target_group_rows=args.group_rows,  # None -> persisted/default
                 )
             else:
-                # auto sizing depends on cluster CPU count, so it applies
-                # only to FRESH jobs: a resume must reuse the persisted plan
-                # (encode_job reads job.json) or partition ids shift
-                part_bytes = args.part_bytes
-                if part_bytes is None and (not resume or mf.load_job_config(args.out) is None):
-                    part_bytes = encode.auto_target_part_bytes(paths)
+                # None: a fresh job auto-sizes, a resume reuses job.json
                 meta = encode.encode_job(
-                    paths, args.out,
-                    target_part_bytes=part_bytes,
-                    resume=resume,
+                    paths, args.out, target_part_bytes=args.part_bytes, resume=resume,
                 )
             print(json.dumps({
                 "cmd": "encode",

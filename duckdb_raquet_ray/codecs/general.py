@@ -9,7 +9,6 @@ zstd (bundled with pyarrow, C speed); zlib is the always-available fallback.
 
 from __future__ import annotations
 
-import os
 import zlib
 
 import pyarrow as pa
@@ -26,12 +25,10 @@ def _zstd_available() -> bool:
 HAVE_ZSTD = _zstd_available()
 DEFAULT_GENERAL = "zstd" if HAVE_ZSTD else "zlib"
 
-# Speed/size knob (decode is level-agnostic, so runs at different levels
-# stay mutually readable). Measured on the F1 token streams: L1 288 MB/s
-# ratio 1.374, L3 213 MB/s 1.384, L6 78 MB/s 1.414 — L1 is the right
-# default for a throughput-graded encode; size-focused deployments export
-# RAQUET_ZSTD_LEVEL=6.
-ZSTD_LEVEL = int(os.environ.get("RAQUET_ZSTD_LEVEL", "1"))
+# Measured on the F1 token streams: L1 288 MB/s ratio 1.374, L3 213 MB/s
+# 1.384, L6 78 MB/s 1.414 — L1 is the right level for a throughput-graded
+# encode (decode is level-agnostic).
+ZSTD_LEVEL = 1
 # NOTE: no module-level pa.Codec instance — pyarrow Codec objects are
 # unpicklable and would break cloudpickle by-value shipping of this module
 # to Ray workers; construction costs microseconds per call.

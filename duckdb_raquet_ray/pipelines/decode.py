@@ -46,7 +46,7 @@ from ..stages import encoder as enc
 from ..util import default_concurrency, map_stage, retain_heap
 from ..state import fsio
 from ..state import manifest as mf
-from .encode import plan_partitions
+from .encode import plan_partitions, recorded_shard_order
 
 
 def encoded_part_files(out_dir: str, partition_ids: list[int] | None = None) -> list[str]:
@@ -165,20 +165,18 @@ def prune_partitions_parquet(out_dir: str, column: str, lo=None, hi=None) -> lis
     return keep
 
 
-def read_encoded_range(
-    out_dir: str, column: str, lo=None, hi=None, pruning: str = "manifest", **kw
-) -> rd.Dataset:
+def read_encoded_range(out_dir: str, column: str, lo=None, hi=None, **kw) -> rd.Dataset:
     """Value-range read: zone-map pruning skips partitions whose [min, max]
     cannot intersect [lo, hi] (no blob is even decoded), then a vectorized
     residual filter drops the stragglers inside surviving partitions — the
     spatial-filtered read_raquet(geometry) shape
     (/root/reference/src/raquet_extension.cpp:49-81) over value ranges.
-    ``pruning="manifest"`` decides from manifest stats alone (no file
-    opened); ``"parquet"`` uses the in-file stat columns (manifest-less)."""
-    if pruning == "parquet":
-        pids = prune_partitions_parquet(out_dir, column, lo, hi)
-    else:
+    Pruning decides from the journal's stats (no file opened) when the
+    dir has one, else from the in-file stat columns."""
+    if os.path.exists(os.path.join(out_dir, mf.MANIFEST_JSONL)):
         pids = mf.prune_partitions(out_dir, column, lo, hi)
+    else:
+        pids = prune_partitions_parquet(out_dir, column, lo, hi)
 
     def residual(batch: pa.Table) -> pa.Table:
         col = batch.column(column)
@@ -566,18 +564,17 @@ def verify_job(input_paths: list[str], out_dir: str, **encode_plan_kwargs) -> di
     With no explicit plan kwargs, the PERSISTED job.json target is used —
     encode_job auto-sizes target_part_bytes and persists it, so
     re-planning with plan_partitions' default here would verify against
-    DIFFERENT partition ranges and report every partition mismatched."""
-    cfg = mf.load_job_config(out_dir)
-    if "target_part_bytes" not in encode_plan_kwargs:
-        if cfg and cfg.get("target_part_bytes") is not None:
-            encode_plan_kwargs["target_part_bytes"] = cfg["target_part_bytes"]
-    if "shard_order" not in encode_plan_kwargs and cfg and cfg.get("shard_order"):
-        # appended dirs: shard indices follow the persisted append order,
-        # not the sorted name order — replan with the same assignment
-        # (only when verifying the full corpus; a subset keeps the old
-        # sorted-plan behavior and its caveats)
-        if set(cfg["shard_order"]) == set(input_paths):
-            encode_plan_kwargs["shard_order"] = list(cfg["shard_order"])
+    DIFFERENT partition ranges and report every partition mismatched.
+    The shard order is the recorded one (`recorded_shard_order`: appended
+    shards keep their indices) when ``input_paths`` names exactly its
+    shards; a subset keeps the sorted plan and its caveats. Explicit
+    kwargs win."""
+    cfg = mf.load_job_config(out_dir) or {}
+    if cfg.get("target_part_bytes") is not None:
+        encode_plan_kwargs.setdefault("target_part_bytes", cfg["target_part_bytes"])
+    order = recorded_shard_order(out_dir, cfg)
+    if "shard_order" not in encode_plan_kwargs and set(order) == set(input_paths):
+        encode_plan_kwargs["shard_order"] = order
     items = plan_partitions(input_paths, **encode_plan_kwargs)
     return _run_verify(items, out_dir)
 

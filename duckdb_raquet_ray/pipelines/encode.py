@@ -325,10 +325,14 @@ def encode_job(
 ) -> dict:
     """Run the full encode job; returns the finalized manifest metadata.
 
-    The resolved ``target_part_bytes`` is persisted to job.json at start;
-    a resume reuses the persisted value (partition ids are functions of the
-    plan — re-planning with a different target under the same ids would
-    silently skip rows) and an explicit conflicting value raises."""
+    The resolved ``target_part_bytes`` (auto-sized from the input volume
+    and cluster width when None) and the shard order are persisted to
+    job.json at start; a resume reuses the persisted plan (partition ids
+    are functions of it — re-planning with a different target under the
+    same ids would silently skip rows) and an explicit conflicting value
+    raises. A resume over a grown input list appends the new shards after
+    the recorded ones (`grow_shard_order`), the same rule as append_job;
+    a list that drops a recorded shard raises."""
     if not resume and os.path.isdir(out_dir):
         # fresh re-encode requested: stale journal/manifest/part files from
         # a prior plan must not leak into finalize (overlapping row ranges)
@@ -340,87 +344,21 @@ def encode_job(
         for f in glob.glob(os.path.join(out_dir, "part-*.parquet")):
             os.remove(f)
     md_cache: dict = {}  # one footer read per shard per job (see _footer_md)
-    prior = mf.resolve_job_config(
-        out_dir, "lineage", {"target_part_bytes": target_part_bytes}, resume
+    cfg = mf.resolve_job_config(
+        out_dir, "lineage", {"target_part_bytes": target_part_bytes},
+        lambda: {
+            # auto sizing depends on the cluster width, hence persisted
+            "target_part_bytes": target_part_bytes
+            if target_part_bytes is not None
+            else auto_target_part_bytes(input_paths, md_cache=md_cache),
+            "shard_order": sorted(input_paths),
+        },
+        resume,
     )
-    if prior is not None:
-        target_part_bytes = prior["target_part_bytes"]
-        shard_order = prior.get("shard_order")
-        if not shard_order:
-            # legacy job.json without shard_order: recover the original
-            # roster from the journal's input_shard fields — falling back
-            # to sorted(input_paths) would make the mismatch guard below a
-            # tautology and let a grown list silently remap shard indices
-            recorded = sorted(
-                {
-                    e.get("input_shard")
-                    for e in mf.load_entries(out_dir).values()
-                    if e.get("input_shard") and e.get("input_shard") != "<stream>"
-                }
-            )
-            shard_order = recorded or sorted(input_paths)
-        if set(shard_order) != set(input_paths):
-            # grown input list: safe ONLY if sorting it leaves every
-            # existing shard at its original index (new names all sort
-            # after) — then this is the documented incremental re-run.
-            # Anything else (a new shard sorting into the middle, or a
-            # shrunk list) would silently remap partition ids.
-            grown = sorted(input_paths)
-            if len(grown) > len(shard_order) and grown[: len(shard_order)] == list(
-                shard_order
-            ):
-                shard_order = grown
-                mf.persist_job_config(out_dir, {**prior, "shard_order": grown})
-            else:
-                raise ValueError(
-                    f"resume input mismatch in {out_dir}: job started with "
-                    f"{len(shard_order)} shards; re-run with the original "
-                    "list, or grow the corpus with append_job (shard indices "
-                    "are part of every partition id — a silent re-sort would "
-                    "corrupt them)"
-                )
-    else:
-        if target_part_bytes is None:
-            # auto-size from input volume and cluster width; persisted below
-            # so a resume on a different-width cluster re-plans identically
-            target_part_bytes = auto_target_part_bytes(
-                input_paths, md_cache=md_cache
-            )
-        shard_order = sorted(input_paths)
-        mf.persist_job_config(
-            out_dir,
-            {
-                "mode": "lineage",
-                "target_part_bytes": target_part_bytes,
-                "shard_order": shard_order,
-            },
-        )
-    return _encode_ordered(
-        shard_order, out_dir, target_part_bytes, resume=resume,
-        concurrency=concurrency, md_cache=md_cache,
-    )
-
-
-def _encode_ordered(
-    shard_order: list[str],
-    out_dir: str,
-    target_part_bytes: int,
-    *,
-    resume: bool,
-    concurrency: int | tuple[int, int] | None,
-    plan_from: int = 0,
-    md_cache: dict | None = None,
-) -> dict:
-    """Shared encode body (encode_job + append_job): plan over an explicit
-    shard order, skip done partitions, encode, finalize from the journal.
-
-    ``plan_from``: skip planning (= parquet footer reads) for the first N
-    shards — append_job passes the count of already-FINALIZED shards so an
-    append costs O(new shards), not O(corpus); their partitions are all in
-    the done set anyway."""
+    shard_order, plan_from = grow_shard_order(out_dir, cfg, input_paths)
     items = plan_partitions(
         shard_order[plan_from:],
-        target_part_bytes,
+        cfg["target_part_bytes"],
         shard_order=shard_order[plan_from:],
         first_shard_index=plan_from,
         md_cache=md_cache,
@@ -441,6 +379,66 @@ def _encode_ordered(
     )
 
 
+def _finalized_shards(out_dir: str) -> list[str]:
+    """The finalized manifest's input_shards ([] before a first finalize)."""
+    try:
+        return mf.load_metadata(out_dir).get("input_shards") or []
+    except FileNotFoundError:
+        return []
+
+
+def recorded_shard_order(out_dir: str, cfg: dict) -> list[str]:
+    """The shard-index order a lineage dir was planned with: job.json's
+    ``shard_order``, else (dirs from before it was persisted) the
+    finalized manifest's ``input_shards``, else []."""
+    return list(cfg.get("shard_order") or _finalized_shards(out_dir))
+
+
+def grow_shard_order(
+    out_dir: str, cfg: dict, input_paths: list[str]
+) -> tuple[list[str], int]:
+    """The one growth rule of a lineage dir -> (shard order, plan_from).
+
+    Partition ids embed the shard's index, so recorded shards never move:
+    shards ``input_paths`` names that the order lacks are appended after
+    the recorded ones (sorted among themselves, even when a name sorts
+    before a recorded one) and the grown order is persisted; a list that
+    drops a recorded shard raises. A compacted dir is append-closed: its
+    ids are pack(group, 0), and an appended shard's ids could collide
+    with them (resume would then silently skip its rows).
+
+    ``plan_from``: planning (= footer reads) starts at the finalized
+    prefix when the order extends past it — an append, or a killed one,
+    costs O(new shards) and the prefix's partitions are all done — and
+    at 0 otherwise, so a plain resume re-encodes a done partition whose
+    file is gone."""
+    if cfg.get("compacted_from"):
+        raise ValueError(
+            f"{out_dir} is a compacted dir (compact_job output) and is "
+            "append-closed — append to its source dir "
+            f"({cfg['compacted_from']}) and re-compact, or encode the new "
+            "shards to a fresh directory"
+        )
+    finalized = _finalized_shards(out_dir)
+    order = list(cfg.get("shard_order") or finalized)
+    names = set(input_paths)
+    dropped = [p for p in order if p not in names]
+    if dropped:
+        raise ValueError(
+            f"resume input mismatch in {out_dir}: the call drops "
+            f"{len(dropped)} of the {len(order)} recorded shards (e.g. "
+            f"{dropped[0]}); re-run with every recorded shard — shard "
+            "indices are part of every partition id"
+        )
+    seen = set(order)
+    new = [p for p in sorted(names) if p not in seen]
+    if new:
+        order += new
+        mf.persist_job_config(out_dir, {**cfg, "shard_order": order})
+    extends = len(order) > len(finalized) and order[: len(finalized)] == finalized
+    return order, len(finalized) if extends else 0
+
+
 def append_job(
     new_paths: list[str],
     out_dir: str,
@@ -448,72 +446,27 @@ def append_job(
     concurrency: int | tuple[int, int] | None = None,
 ) -> dict:
     """Grow an encoded dir with NEW input shards — the operational path
-    for a corpus that arrives in batches (the 100-TB norm). New shards
-    take shard indices AFTER every existing one (names never re-sort, so
-    existing partition ids — pack(shard_idx, part_idx) — are untouched);
-    only the new shards' partitions are planned and encoded; the manifest
-    journal appends and manifest.json/rollups re-finalize from it.
-    Idempotent: already-present paths are skipped, and a killed append
-    resumes (done partitions skipped) by re-running with the same args.
-    Decode/verify/rollup read the updated manifest with no special case —
-    an append-then-read is bit-identical to a single encode of the full
-    corpus over the same shard order (pytest-pinned)."""
+    for a corpus that arrives in batches (the 100-TB norm): encode_job
+    over the recorded shard order plus ``new_paths``, so the new shards
+    take indices AFTER every existing one (`grow_shard_order`; existing
+    partition ids — pack(shard_idx, part_idx) — are untouched), only
+    their partitions are planned and encoded, the journal appends and
+    manifest.json/rollups re-finalize from it. Idempotent: already-present
+    paths are skipped, and a killed append resumes (done partitions
+    skipped) by re-running with the same args. Decode/verify/rollup read
+    the updated manifest with no special case — an append-then-read is
+    bit-identical to a single encode of the full corpus over the same
+    shard order (pytest-pinned)."""
     cfg = mf.load_job_config(out_dir)
     if not cfg or cfg.get("mode") != "lineage":
         raise ValueError(
             f"{out_dir} is not a resumable lineage-mode encode dir "
             f"(job.json missing or mode={cfg.get('mode') if cfg else None!r})"
         )
-    if cfg.get("compacted_from"):
-        # compacted dirs are append-CLOSED: their partition ids are
-        # pack(group_index, 0), and an appended shard takes the next
-        # SHARD index — if compaction produced >= as many groups as the
-        # source had shards, the two id namespaces collide and resume
-        # would silently skip the appended shard's partitions (data
-        # loss). Append to the SOURCE dir and re-compact, or encode the
-        # new shards to a fresh dir.
-        raise ValueError(
-            f"{out_dir} is a compacted dir (compact_job output) and is "
-            "append-closed — append to its source dir "
-            f"({cfg['compacted_from']}) and re-compact, or encode the new "
-            "shards to a fresh directory"
-        )
-    order = cfg.get("shard_order")
-    if not order:
-        try:
-            meta = mf.load_metadata(out_dir)
-        except FileNotFoundError:
-            meta = {}  # initial encode died before finalize: no manifest yet
-        order = meta.get("input_shards")  # pre-append-feature dirs: sorted
+    order = recorded_shard_order(out_dir, cfg)
     if not order:
         raise ValueError(f"cannot append to {out_dir}: no shard order recorded")
-    seen = set(order)
-    fresh = [p for p in sorted(new_paths) if p not in seen]
-    shard_order = list(order) + fresh
-    if fresh:
-        mf.persist_job_config(out_dir, {**cfg, "shard_order": shard_order})
-    # plan only past the FINALIZED prefix (manifest.json's input_shards —
-    # job.json is written before encoding, so it can't prove completion):
-    # appends cost O(new shards) in footer reads, and a killed append
-    # resumes because its shards sit past the last finalized prefix
-    try:
-        finalized = mf.load_metadata(out_dir).get("input_shards") or []
-    except FileNotFoundError:
-        finalized = []  # never finalized: plan from 0, resume skips done pids
-    plan_from = (
-        len(finalized)
-        if shard_order[: len(finalized)] == list(finalized)
-        else 0
-    )
-    return _encode_ordered(
-        shard_order,
-        out_dir,
-        cfg["target_part_bytes"],
-        resume=True,
-        concurrency=concurrency,
-        plan_from=plan_from,
-        md_cache={},  # one footer read per shard: planning + drift gate share it
-    )
+    return encode_job(order + list(new_paths), out_dir, concurrency=concurrency)
 
 
 class GroupCompactor(EncodeStage):
@@ -561,9 +514,12 @@ def compact_job(
     finalizes from the journal. Output ids are ``pack(group_index, 0)``
     — valid lineage ids, so every decode/stats/rollup path reads the
     compacted dir with no special case. Resumable: a killed compaction
-    re-run skips groups whose id is already journaled 'done'
-    (``resolve_job_config`` pins the target across resumes; a different
-    explicit target raises rather than silently re-grouping)."""
+    re-run skips groups whose id is already journaled 'done'.
+    ``resolve_job_config`` pins the target, the source dir and the source
+    partition roster across resumes: a different explicit target, an
+    out_dir that is not a compaction of ``src_dir`` (or predates roster
+    pinning) and a source changed since (append/delete) all raise rather
+    than silently re-grouping."""
     src_meta = mf.load_metadata(src_dir)
     entries = mf.load_entries(src_dir)
     done_src = {
@@ -591,52 +547,25 @@ def compact_job(
             sorted([int(p), int(e["input_bytes"])] for p, e in done_src.items())
         ).encode()
     ).hexdigest()[:16]
-    prior = mf.resolve_job_config(
-        out_dir,
-        "lineage",
-        {
-            # pass the CALLER'S value (None = no opinion): pre-resolving
-            # the default here would make a flag-less resume of an
-            # explicit-target run raise a spurious mismatch
-            "target_part_bytes": target_part_bytes,
-            "compacted_from": os.path.abspath(src_dir),
-            "src_roster_sha": roster,
+    # an out_dir without these keys (a plain encode dir, or a pre-roster
+    # compaction) refuses to resume: its ids could collide with the groups'
+    pins = {"compacted_from": os.path.abspath(src_dir), "src_roster_sha": roster}
+    cfg = mf.resolve_job_config(
+        out_dir, "lineage",
+        # the CALLER'S target (None = no opinion): pre-resolving the
+        # default here would make a flag-less resume of an explicit-target
+        # run raise a spurious mismatch
+        {"target_part_bytes": target_part_bytes, **pins},
+        lambda: {
+            "target_part_bytes": int(
+                target_part_bytes
+                or src_cfg.get("target_part_bytes")
+                or DEFAULT_PART_BYTES
+            ),
+            **pins,
         },
-        resume=True,
     )
-    if prior is not None:
-        # resolve_job_config only compares keys PRESENT in the prior
-        # config, so a job.json without the compact keys (a plain encode
-        # dir used as out_dir, or a pre-roster compacted dir) would
-        # silently bypass both gates — refuse those explicitly
-        if prior.get("compacted_from") != os.path.abspath(src_dir):
-            raise ValueError(
-                f"{out_dir} is not a compaction of {src_dir} "
-                f"(job.json compacted_from={prior.get('compacted_from')!r}) "
-                "— compact into a FRESH directory"
-            )
-        if "src_roster_sha" not in prior:
-            raise ValueError(
-                f"{out_dir} predates roster pinning — its resume cannot be "
-                "proven safe against source changes; compact into a fresh "
-                "directory"
-            )
-        tgt = int(prior["target_part_bytes"])
-    else:
-        tgt = int(
-            target_part_bytes
-            or src_cfg.get("target_part_bytes")
-            or DEFAULT_PART_BYTES
-        )
-        mf.persist_job_config(
-            out_dir,
-            {
-                "mode": "lineage",
-                "target_part_bytes": tgt,
-                "compacted_from": os.path.abspath(src_dir),
-                "src_roster_sha": roster,
-            },
-        )
+    tgt = int(cfg["target_part_bytes"])
 
     # group CONSECUTIVE partition ids (id order == row order) to ~tgt
     # decoded bytes per group; a single oversized partition stays its own

@@ -170,37 +170,27 @@ def encode_job_grouped(
     The salt map (and target_group_rows) is persisted to job.json at job
     start and REUSED on resume: partition ids are pure functions of the
     salt map, so re-deriving it with a different target would re-plan
-    different groups under colliding ids. An explicit conflicting
-    target_group_rows on resume raises."""
-    prior = mf.resolve_job_config(
-        out_dir, "grouped", {"target_group_rows": target_group_rows}, resume
-    )
-    if prior is not None:
-        target_group_rows = prior["target_group_rows"]
-        if salt_map is not None and salt_map != prior["salt_map"]:
-            raise ValueError(
-                "encode_job_grouped resume: explicit salt_map conflicts with "
-                f"the persisted one ({salt_map} != {prior['salt_map']}) — "
-                "partition ids are functions of the salt map; pass "
-                "resume=False (fresh dir) to re-plan"
-            )
-        salt_map = prior["salt_map"]
-    if target_group_rows is None:
-        target_group_rows = DEFAULT_GROUP_ROWS
-    ds = rd.read_parquet(sorted(input_paths))
+    different groups under colliding ids. An explicit target_group_rows
+    or salt_map that conflicts with the persisted one raises
+    (``resolve_job_config``)."""
     # mixed shard schemas would concat into null-filled grouped partitions
     schema_arrow = encode.check_schema_drift(sorted(input_paths), 1, {})
-    if salt_map is None:
+
+    def fresh() -> dict:
+        rows = DEFAULT_GROUP_ROWS if target_group_rows is None else target_group_rows
+        if salt_map is not None:
+            return {"target_group_rows": rows, "salt_map": salt_map}
         # count from a source-column-only read: the driver-side salt map
         # needs one tiny column, not a shuffle of the whole table
-        salt_map = compute_salt_map(
-            rd.read_parquet(sorted(input_paths), columns=["source"]), target_group_rows
-        )
-    if prior is None:
-        mf.persist_job_config(
-            out_dir,
-            {"mode": "grouped", "target_group_rows": target_group_rows, "salt_map": salt_map},
-        )
+        return {"target_group_rows": rows, "salt_map": compute_salt_map(
+            rd.read_parquet(sorted(input_paths), columns=["source"]), rows)}
+
+    cfg = mf.resolve_job_config(
+        out_dir, "grouped",
+        {"target_group_rows": target_group_rows, "salt_map": salt_map}, fresh, resume,
+    )
+    salt_map = cfg["salt_map"]
+    ds = rd.read_parquet(sorted(input_paths))
     # resume: drop finished groups' rows BEFORE the shuffle
     done_ids = np.array(sorted(mf.done_partition_ids(out_dir)) if resume else [], np.uint64)
 

@@ -250,7 +250,8 @@ def blob_view(batch: pa.Table, name: str, i: int) -> memoryview:
 
 
 def decode_rows(batch: pa.Table, columns: list[str] | None = None) -> pa.Table:
-    """Decode a batch of encoded partition rows back to original rows."""
+    """Decode a batch of encoded partition rows back to original rows —
+    also encode_batch's inverse as a stateless ``map_batches`` stage."""
     out: list[pa.Table] = []
     metas = batch.column("codec_meta").to_pylist()
     for i in range(batch.num_rows):
@@ -259,12 +260,6 @@ def decode_rows(batch: pa.Table, columns: list[str] | None = None) -> pa.Table:
         out.append(pa.table(
             {name: bc.decode_array(blob_view(batch, name, i), descs[name]) for name in names}
         ))
-    if not out:
-        # an empty encoded batch carries no codec_meta to derive decoded
-        # types from — callers feeding mixed empty/non-empty blocks should
-        # filter empties (stated limitation; the partition readers never
-        # produce empty encoded batches)
-        return pa.table({})
     return pa.concat_tables(out)
 
 
@@ -295,11 +290,3 @@ def encode_batch(batch: pa.Table, key_column: str | None = None) -> pa.Table:
     pid = int.from_bytes(h.digest()[:8], "little") >> 1  # keep mode bit clear
     encoded, _ = encode_table(batch, pid, input_shard="<stream>")
     return encoded
-
-
-def decode_batch(batch: pa.Table, columns: list[str] | None = None) -> pa.Table:
-    """Inverse stage (stateless task): encoded partition rows -> original
-    rows. A plain function on purpose: stateless stages as task pools stay
-    elastic and can never reserve-deadlock a small cluster the way a
-    fleet of actor pools can."""
-    return decode_rows(batch, columns)

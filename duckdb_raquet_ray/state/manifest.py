@@ -162,33 +162,34 @@ def persist_job_config(out_dir: str, config: dict) -> None:
 
 
 def resolve_job_config(
-    out_dir: str, mode: str, requested: dict, resume: bool
+    out_dir: str, mode: str, requested: dict, fresh, resume: bool = True
 ) -> dict:
-    """Resolve plan parameters against a persisted job.json.
+    """The one plan gate of every journaled job: resolve its plan
+    parameters against the persisted job.json and return the config the
+    job must plan with.
 
-    ``requested`` maps parameter name -> explicitly requested value or None
-    (= caller has no opinion). On resume with a persisted config: the mode
-    must match, any explicit non-None value must equal the persisted one
-    (mismatch raises — never silently re-plan), and persisted values win.
-    Otherwise the requested dict (with the caller's defaults already
-    substituted for None) is persisted and returned."""
+    ``requested`` maps parameter name -> the caller's value, or None (= no
+    opinion). On resume with a persisted config, the mode and every
+    non-None requested value must equal the persisted one — a key job.json
+    lacks is a mismatch too, so a dir another job (or an older engine)
+    wrote never passes for this job's — and the persisted config wins.
+    Otherwise ``fresh()`` (the caller's full config, defaults resolved) is
+    persisted with the mode and returned."""
     prior = load_job_config(out_dir) if resume else None
-    if prior is not None:
-        if prior.get("mode") != mode:
+    if prior is None:
+        config = {"mode": mode, **fresh()}
+        persist_job_config(out_dir, config)
+        return config
+    for k, v in {"mode": mode, **requested}.items():
+        if v is not None and prior.get(k) != v:
+            have = repr(prior[k]) if k in prior else "absent"
             raise ValueError(
-                f"{out_dir} was started in {prior.get('mode')!r} mode; "
-                f"cannot resume it in {mode!r} mode"
+                f"resume plan mismatch for {k!r} in {out_dir}: job.json has "
+                f"{have}, this call requested {v!r}; partition ids are "
+                "functions of the plan — pass the original value or encode "
+                "to a fresh directory (resume=False)"
             )
-        for k, v in requested.items():
-            if v is not None and k in prior and prior[k] != v:
-                raise ValueError(
-                    f"resume plan mismatch for {k!r}: job started with "
-                    f"{prior[k]!r}, resume requested {v!r}; partition ids "
-                    "are functions of the plan — pass the original value "
-                    "or encode to a fresh directory (resume=False)"
-                )
-        return prior
-    return prior  # None: caller resolves defaults then calls persist_job_config
+    return prior
 
 
 def load_entries(out_dir: str) -> dict[int, dict]:

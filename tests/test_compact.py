@@ -106,6 +106,9 @@ class TestCompact:
         extra = tokens.write_corpus(str(tmp_path / "c3"), 1000, 1, row_group_rows=512)
         with pytest.raises(ValueError, match="append-closed"):
             encode.append_job(extra, out)
+        # growing it through encode_job meets the same rule
+        with pytest.raises(ValueError, match="append-closed"):
+            encode.encode_job(extra, out)
 
     def test_source_roster_drift_refused(self, encoded_dir, tmp_path):
         # re-running a compaction after the SOURCE dir changed would
@@ -164,5 +167,5 @@ class TestCompact:
         src2 = tokens.write_corpus(str(tmp_path / "c5"), 2000, 1, row_group_rows=512)
         other = str(tmp_path / "other_enc")
         encode.encode_job(src2, other, target_part_bytes=1 << 20)
-        with pytest.raises(ValueError, match="not a compaction"):
+        with pytest.raises(ValueError, match="compacted_from"):
             encode.compact_job(encoded_dir, other)

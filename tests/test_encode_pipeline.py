@@ -219,7 +219,7 @@ class TestStreamStages:
         paths = tk.corpus_paths(corpus_dir)
         ds = rd.read_parquet(paths)
         encoded = ds.map_batches(enc.encode_batch, batch_size=1000, batch_format="pyarrow")
-        decoded = encoded.map_batches(enc.decode_batch, batch_format="pyarrow")
+        decoded = encoded.map_batches(enc.decode_rows, batch_format="pyarrow")
         got = pa.Table.from_pylist(decoded.take_all())
         original = _read_all_input(corpus_dir)
         assert got.num_rows == original.num_rows
@@ -327,7 +327,7 @@ class TestTokenizeEncodeComposition:
 class TestAppendJob:
     """append_job: grow an encoded dir with new shards — existing partition
     ids untouched, decode == one-shot encode of the full corpus, idempotent,
-    and encode_job refuses a silently grown input list."""
+    and encode_job grows a lineage dir by the same rule."""
 
     def _split_corpus(self, tmp_path):
         base_dir = tmp_path / "base"
@@ -387,7 +387,7 @@ class TestAppendJob:
         assert dec.verify_encoded(out)["ok"]
         assert dec.verify_job(base + delta, out)["ok"]
 
-    def test_append_idempotent_and_encode_job_refuses_growth(
+    def test_append_idempotent_and_encode_job_grows_in_order(
         self, ray_session, tmp_path
     ):
         base, delta = self._split_corpus(tmp_path)
@@ -404,13 +404,30 @@ class TestAppendJob:
         assert mf.load_metadata(out)["num_rows"] == n1
         for f, ts in stamps.items():
             assert os.path.getmtime(os.path.join(out, f)) == ts
-        # growing the corpus through encode_job with a shard that sorts
-        # INTO THE MIDDLE (here: before the base shards) must fail loudly —
-        # it would shift every existing shard index (name-sorts-after
-        # growth is the legit incremental re-run and stays allowed)
+        # growing the corpus through encode_job follows append_job's rule:
+        # a shard that sorts before every recorded one takes the NEXT
+        # shard index, and no existing partition file is rewritten
         mid = str(tmp_path / "base" / "aaa-mid.parquet")
-        with pytest.raises(ValueError, match="append_job"):
-            encj.encode_job(base + delta + [mid], out, target_part_bytes=1 << 20)
+        os.rename(tk.write_corpus(str(tmp_path / "mid"), 700, 1, seed=11,
+                                  row_group_rows=256)[0], mid)
+        blobs = {f: open(os.path.join(out, f), "rb").read() for f in stamps}
+        before = set(mf.load_metadata(out)["partition_ids"])
+        meta = encj.encode_job(base + delta + [mid], out, target_part_bytes=1 << 20)
+        order = mf.load_job_config(out)["shard_order"]
+        assert order == sorted(base) + sorted(delta) + [mid]
+        assert meta["input_shards"] == order
+        added = set(meta["partition_ids"]) - before
+        assert {pk.unpack(p)[0] for p in added} == {len(base) + len(delta)}
+        for f, ts in stamps.items():
+            path = os.path.join(out, f)
+            assert os.path.getmtime(path) == ts
+            assert open(path, "rb").read() == blobs[f]
+        # decode in partition-id order == the shards read in recorded order
+        got = dec.read_encoded(out).to_pandas()
+        want = pa.concat_tables([pq.read_table(p) for p in order]).to_pandas()
+        assert got["doc_id"].tolist() == want["doc_id"].tolist()
+        assert got["n_tok"].tolist() == want["n_tok"].tolist()
+        assert dec.verify_job(base + delta + [mid], out)["ok"]
 
     def test_killed_append_resumes(self, ray_session, tmp_path):
         """A SIGKILL between append_job's job.json write and its encode

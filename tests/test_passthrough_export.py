@@ -5,6 +5,7 @@ Passthrough mirrors the reference's precomputed-stats fast path
 metadata alone must equal stats computed from the data."""
 
 import os
+import shutil
 
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -86,11 +87,15 @@ class TestStatColumns:
             out, "n_tok", lo, hi
         )
 
-    def test_range_read_served_by_parquet_stats(self, encoded):
+    def test_range_read_served_by_parquet_stats(self, encoded, tmp_path):
         paths, out = encoded
         lo, hi = 100, 260
+        # a journal-less copy: pruning falls back to the in-file stat columns
+        bare = str(tmp_path / "bare")
+        shutil.copytree(out, bare)
+        os.remove(os.path.join(bare, mf.MANIFEST_JSONL))
         got = (
-            decode.read_encoded_range(out, "n_tok", lo, hi, pruning="parquet")
+            decode.read_encoded_range(bare, "n_tok", lo, hi)
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
@@ -100,6 +105,14 @@ class TestStatColumns:
         raw = pd.concat([pq.read_table(p).to_pandas() for p in paths])
         want = raw[(raw.n_tok >= lo) & (raw.n_tok <= hi)].sort_values("doc_id").reset_index(drop=True)
         assert got["doc_id"].tolist() == want["doc_id"].tolist()
+
+
+    def test_journal_less_range_read_returns_every_row(self, encoded, tmp_path):
+        _, out = encoded
+        bare = str(tmp_path / "bare")
+        shutil.copytree(out, bare)
+        os.remove(os.path.join(bare, mf.MANIFEST_JSONL))
+        assert decode.read_encoded_range(bare, "n_tok", 0, 10**9).count() == 2000
 
 
 class TestExport:
