@@ -376,7 +376,7 @@ def _verify_partitions(batch: pa.Table, out_dir: str) -> pa.Table:
     results = []
     for item in batch.to_pylist():
         pid = item["partition_id"]
-        original = pq.ParquetFile(item["shard"]).read_row_groups(item["row_groups"], use_threads=False)
+        original = enc.read_partition(item["shard"], item["row_groups"])
         decoded = point_lookup(out_dir, pid)
         ok = _tables_bitexact(decoded, original)
         results.append({"partition_id": pid, "ok": ok, "n_rows": original.num_rows})

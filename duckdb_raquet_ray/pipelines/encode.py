@@ -176,9 +176,10 @@ def plan_partitions(
     partition ids embed the shard's position, so an appended shard must
     take the next index even if its name sorts before an existing one;
     encode_job persists the order in job.json and append_job extends it).
-    Default: sorted(input_paths), the original first-encode order.
+    Default: the sorted distinct input paths, the original first-encode
+    order (a path listed twice is one shard, not two).
     """
-    ordered = list(shard_order) if shard_order is not None else sorted(input_paths)
+    ordered = list(shard_order) if shard_order is not None else sorted(set(input_paths))
     items: list[dict] = []
     for shard_idx, path in enumerate(ordered, start=first_shard_index):
         md = _footer_md(path, md_cache)
@@ -221,8 +222,11 @@ def publish_partition(
     (``lineage``: encode_table's input_shard / row_range; ``extra`` joins
     the entry) and publish part-<pid> absent-or-complete — or, with
     ``stage``, leave a publish temp for `journal_stage` to rename over the
-    live file once the entry is journaled. Returns the stage's result row."""
+    live file once the entry is journaled. Returns the stage's result row.
+    A caller that passes its only reference to ``table`` has the rows
+    freed before the Parquet write."""
     encoded, entry = enc.encode_table(table, pid, **lineage)
+    del table
     entry.update(extra or {})
     path = os.path.join(out_dir, pk.part_file_name(pid))
     staged = ""
@@ -302,14 +306,11 @@ class PartitionEncoder(EncodeStage):
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = []
         for item in batch.to_pylist():
-            # single-threaded read: each task owns its CPUs; pyarrow's
-            # default pool is sized to the whole machine, and N tasks x
-            # N arrow threads thrash the scheduler at high concurrency
-            table = pq.ParquetFile(item["shard"]).read_row_groups(
-                item["row_groups"], use_threads=False
-            )
+            # the read result goes straight in: publish_partition holds
+            # its only reference and frees it before the write
             rows.append(publish_partition(
-                self.out_dir, table, item["partition_id"],
+                self.out_dir, enc.read_partition(item["shard"], item["row_groups"]),
+                item["partition_id"],
                 input_shard=item["shard"], row_range=tuple(item["row_range"]),
             ))
         return self.results(rows)
@@ -332,7 +333,9 @@ def encode_job(
     same ids would silently skip rows) and an explicit conflicting value
     raises. A resume over a grown input list appends the new shards after
     the recorded ones (`grow_shard_order`), the same rule as append_job;
-    a list that drops a recorded shard raises."""
+    a list that drops a recorded shard raises. A path listed twice is
+    encoded once."""
+    input_paths = sorted(set(input_paths))
     if not resume and os.path.isdir(out_dir):
         # fresh re-encode requested: stale journal/manifest/part files from
         # a prior plan must not leak into finalize (overlapping row ranges)
@@ -351,7 +354,7 @@ def encode_job(
             "target_part_bytes": target_part_bytes
             if target_part_bytes is not None
             else auto_target_part_bytes(input_paths, md_cache=md_cache),
-            "shard_order": sorted(input_paths),
+            "shard_order": input_paths,
         },
         resume,
     )

@@ -172,9 +172,10 @@ def encode_job_grouped(
     salt map, so re-deriving it with a different target would re-plan
     different groups under colliding ids. An explicit target_group_rows
     or salt_map that conflicts with the persisted one raises
-    (``resolve_job_config``)."""
+    (``resolve_job_config``). A path listed twice is read once."""
+    input_paths = sorted(set(input_paths))
     # mixed shard schemas would concat into null-filled grouped partitions
-    schema_arrow = encode.check_schema_drift(sorted(input_paths), 1, {})
+    schema_arrow = encode.check_schema_drift(input_paths, 1, {})
 
     def fresh() -> dict:
         rows = DEFAULT_GROUP_ROWS if target_group_rows is None else target_group_rows
@@ -183,14 +184,14 @@ def encode_job_grouped(
         # count from a source-column-only read: the driver-side salt map
         # needs one tiny column, not a shuffle of the whole table
         return {"target_group_rows": rows, "salt_map": compute_salt_map(
-            rd.read_parquet(sorted(input_paths), columns=["source"]), rows)}
+            rd.read_parquet(input_paths, columns=["source"]), rows)}
 
     cfg = mf.resolve_job_config(
         out_dir, "grouped",
         {"target_group_rows": target_group_rows, "salt_map": salt_map}, fresh, resume,
     )
     salt_map = cfg["salt_map"]
-    ds = rd.read_parquet(sorted(input_paths))
+    ds = rd.read_parquet(input_paths)
     # resume: drop finished groups' rows BEFORE the shuffle
     done_ids = np.array(sorted(mf.done_partition_ids(out_dir)) if resume else [], np.uint64)
 
@@ -245,7 +246,7 @@ def encode_job_grouped(
             extra={
                 "mode": "grouped",
                 "salt_map": salt_map,
-                "input_shards": sorted(input_paths),
+                "input_shards": input_paths,
                 "schema_ipc": mf.schema_to_b64(schema_arrow),
                 "shuffle": shuffle_stats,
             },

@@ -29,11 +29,180 @@ import json
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from .. import blockcodec as bc
 from .. import planner
 
 ENCODED_FIXED_COLS = ("partition_id", "n_rows", "codec_meta")
+
+
+def _fixed_width(t: pa.DataType) -> int | None:
+    """Byte width of a one-buffer fixed-width type, else None."""
+    if pa.types.is_integer(t) or pa.types.is_floating(t) or pa.types.is_temporal(t):
+        return t.bit_width // 8 if t.bit_width % 8 == 0 else None
+    return None
+
+
+def _n_leaves(t: pa.DataType) -> int:
+    """Parquet leaf columns a field of type ``t`` stores."""
+    if pa.types.is_struct(t):
+        return sum(_n_leaves(t.field(i).type) for i in range(t.num_fields))
+    if pa.types.is_map(t):
+        return _n_leaves(t.key_type) + _n_leaves(t.item_type)
+    if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t):
+        return _n_leaves(t.value_type)
+    return 1
+
+
+class _Bitmap:
+    """Validity of a column being built, allocated at the column's full
+    length the first time a row-group array carries a validity buffer:
+    the Parquet reader attaches all-valid bitmaps to nullable columns, and
+    ``nbytes`` (a manifest entry's ``input_bytes``) counts them. Starts
+    all-valid; a copied array with nulls clears its null bits."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.buf = None
+
+    def add(self, arr: pa.Array, pos: int) -> None:
+        if arr.buffers()[0] is None:
+            return
+        if self.buf is None:
+            self.buf = pa.allocate_buffer((self.cap + 7) // 8)
+            np.frombuffer(self.buf, np.uint8)[:] = 0xFF
+        if arr.null_count:
+            src = np.frombuffer(arr.buffers()[0], np.uint8)
+            bits = np.unpackbits(src, count=arr.offset + len(arr), bitorder="little")
+            nulls = pos + np.flatnonzero(bits[arr.offset:] == 0)
+            clear = np.invert(np.left_shift(1, nulls & 7).astype(np.uint8))
+            np.bitwise_and.at(np.frombuffer(self.buf, np.uint8), nulls >> 3, clear)
+
+    def finish(self, n: int) -> pa.Buffer | None:
+        if self.buf is None:
+            return None
+        if n % 8:  # bits past the last value stay clear
+            np.frombuffer(self.buf, np.uint8)[n // 8] &= (1 << (n % 8)) - 1
+        return self.buf.slice(0, (n + 7) // 8)
+
+
+class _FixedColumn:
+    """A fixed-width column copied into one buffer of ``cap`` values."""
+
+    def __init__(self, t: pa.DataType, cap: int):
+        self.type, self.width = t, _fixed_width(t)
+        self.data = pa.allocate_buffer(cap * self.width)
+        self.valid = _Bitmap(cap)
+        self.n = 0
+
+    def add(self, arr: pa.Array) -> None:
+        w, k = self.width, len(arr)
+        if k:
+            src = np.frombuffer(arr.buffers()[1], np.uint8, count=(arr.offset + k) * w)
+            np.frombuffer(self.data, np.uint8)[self.n * w:(self.n + k) * w] = src[arr.offset * w:]
+        self.valid.add(arr, self.n)
+        self.n += k
+
+    def finish(self) -> pa.Array:
+        return pa.Array.from_buffers(
+            self.type, self.n, [self.valid.finish(self.n), self.data.slice(0, self.n * self.width)],
+            null_count=-1,
+        )
+
+
+class _ListColumn:
+    """A ``list``/``large_list`` of fixed-width values: offsets sized from
+    the row count, values from the leaf chunks' ``num_values`` (an upper
+    bound: empty and null lists take a level but no value)."""
+
+    def __init__(self, t: pa.DataType, rows: int, values: int):
+        self.type = t
+        self.off_dt = np.int64 if pa.types.is_large_list(t) else np.int32
+        self.offsets = pa.allocate_buffer((rows + 1) * np.dtype(self.off_dt).itemsize)
+        np.frombuffer(self.offsets, self.off_dt)[0] = 0
+        self.child = _FixedColumn(t.value_type, values)
+        self.valid = _Bitmap(rows)
+        self.n = 0
+
+    def add(self, arr: pa.Array) -> None:
+        k = len(arr)
+        if not k:
+            return
+        offs = np.frombuffer(arr.buffers()[1], self.off_dt, count=arr.offset + k + 1)[arr.offset:]
+        lo = int(offs[0])
+        dst = np.frombuffer(self.offsets, self.off_dt)[self.n + 1:self.n + k + 1]
+        np.subtract(offs[1:], lo - self.child.n, out=dst)
+        self.child.add(arr.values.slice(lo, int(offs[-1]) - lo))
+        self.valid.add(arr, self.n)
+        self.n += k
+
+    def finish(self) -> pa.Array:
+        offsets = self.offsets.slice(0, (self.n + 1) * np.dtype(self.off_dt).itemsize)
+        return pa.Array.from_buffers(
+            self.type, self.n, [self.valid.finish(self.n), offsets],
+            null_count=-1, children=[self.child.finish()],
+        )
+
+
+class _ConcatColumn:
+    """A flat string or binary column: its row-group arrays, concatenated
+    at the end (the reader gives them a bitmap only where there are nulls,
+    and so does the concat)."""
+
+    def __init__(self):
+        self.chunks: list[pa.Array] = []
+
+    def add(self, arr: pa.Array) -> None:
+        self.chunks.append(arr)
+
+    def finish(self) -> pa.Array:
+        return pa.concat_arrays(self.chunks)
+
+
+def read_partition(shard: str, row_groups: list[int]) -> pa.Table:
+    """Read one planned row-group range of ``shard``; the result equals
+    ``read_row_groups(row_groups)`` and has the same ``nbytes``.
+
+    Fixed-width, list-of-fixed-width and flat string/binary columns are
+    read one row group at a time and copied into buffers allocated once at
+    the partition's size (strings: concatenated), so their peak is the
+    result plus one row group: the bulk read builds a list column with
+    per-value level buffers and growing buffers, ~3x the result at its
+    peak. Other types (bool, nested, dictionary) are read whole: a concat
+    of their row-group arrays would drop the all-valid bitmaps the reader
+    gives them and merge a dictionary column's per-row-group chunks, and
+    so move ``nbytes``."""
+    pf = pq.ParquetFile(shard)
+    md, schema = pf.metadata, pf.schema_arrow
+    rows = sum(md.row_group(rg).num_rows for rg in row_groups)
+    built, leaf = {}, 0
+    for field in schema:
+        t = field.type
+        if _fixed_width(t):
+            built[field.name] = _FixedColumn(t, rows)
+        elif (pa.types.is_list(t) or pa.types.is_large_list(t)) and _fixed_width(t.value_type):
+            values = sum(md.row_group(rg).column(leaf).num_values for rg in row_groups)
+            built[field.name] = _ListColumn(t, rows, values)
+        elif (pa.types.is_string(t) or pa.types.is_large_string(t)
+              or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+            built[field.name] = _ConcatColumn()
+        leaf += _n_leaves(t)
+    # single-threaded reads: each task owns its CPUs; pyarrow's default
+    # thread pool is sized to the whole machine, and N tasks x N arrow
+    # threads thrash the scheduler at high concurrency
+    for rg in row_groups if built else ():
+        part = pf.read_row_groups([rg], columns=list(built), use_threads=False)
+        for name, col in built.items():
+            for arr in part.column(name).chunks:
+                col.add(arr)
+        del part  # free this row group before the next one is read
+    rest = [f.name for f in schema if f.name not in built]
+    whole = pf.read_row_groups(row_groups, columns=rest, use_threads=False) if rest else None
+    return pa.Table.from_arrays(
+        [built[f.name].finish() if f.name in built else whole.column(f.name) for f in schema],
+        schema=schema,
+    )
 
 
 def read_projection(columns: list[str] | None) -> list[str] | None:
@@ -181,7 +350,14 @@ def encode_table(
     row_range: tuple[int, int] | None = None,
     plan: dict | None = None,
 ) -> tuple[pa.Table, dict]:
-    """Encode one partition -> (one-row encoded table, manifest entry)."""
+    """Encode one partition -> (one-row encoded table, manifest entry).
+
+    The entry's ``input_bytes`` is ``table.nbytes``: the Arrow buffer size
+    of the rows as the Parquet reader lays them out, validity bitmaps
+    included (it attaches all-valid ones to nullable fixed-width columns
+    and list children), so the same rows laid out otherwise — a slice of
+    a sorted table, or a concat that drops an all-valid bitmap — report
+    another figure."""
     plan = plan or planner.plan_table(table)
     descs: dict[str, dict] = {}
     blobs: dict[str, bytes] = {}
@@ -200,7 +376,10 @@ def encode_table(
         "codec_meta": pa.array([meta_json], type=pa.string()),
     }
     for name, blob in blobs.items():
-        cols[f"col_{name}"] = pa.array([blob], type=pa.binary())
+        # a view of the blob's own bytes: pa.array([blob]) would copy it
+        offsets = pa.py_buffer(np.array([0, len(blob)], np.int32))
+        cols[f"col_{name}"] = pa.Array.from_buffers(
+            pa.binary(), 1, [None, offsets, pa.py_buffer(blob)])
     # per-column stats as REAL Parquet columns (one row per partition), the
     # reference's band_N_* stats columns (read_raster.cpp:1079-1090): any
     # plain Parquet engine gets zone-map pruning and the summary-stats

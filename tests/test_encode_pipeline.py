@@ -47,6 +47,17 @@ class TestPlanPartitions:
         assert len(a) > len(b)
 
 
+def test_duplicate_input_path_encoded_once(ray_session, corpus_dir, tmp_path):
+    """A path listed twice is one shard: one shard index, its rows once."""
+    paths = tk.corpus_paths(corpus_dir)
+    out = str(tmp_path / "enc")
+    meta = encj.encode_job(paths + paths[:1], out, target_part_bytes=1 << 20)
+    assert meta["num_rows"] == 4000
+    assert mf.load_job_config(out)["shard_order"] == sorted(paths)
+    assert encj.plan_partitions(paths + paths, 1 << 20) == encj.plan_partitions(paths, 1 << 20)
+    assert dec.verify_job(paths, out)["ok"]
+
+
 @pytest.fixture(scope="module")
 def encoded_dir(ray_session, corpus_dir, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("encoded"))
