@@ -429,11 +429,12 @@ def decode_string(blob: bytes, desc: dict) -> pa.Array:
 
 def _encode_child_for_rows(
     child: pa.Array, lengths: np.ndarray, try_dict: bool = True
-) -> tuple[bytes, dict]:
+) -> tuple[list[bytes], dict]:
     """Child encoding with per-row structure (codecs/rowcodec.py). Only
     valid inside a list blob: decode needs the row lengths the list codec
     stores, so the descriptor kind is ``row_child`` and only
-    :func:`decode_list` dispatches it."""
+    :func:`decode_list` dispatches it. Returns the child's sections
+    unjoined: :func:`encode_list` joins them once with its own."""
     vals = _primitive_np(child)
     cdt = _np_dtype_of(child.type)
     if vals.dtype != cdt:
@@ -450,7 +451,7 @@ def _encode_child_for_rows(
         "codec": "for_rows",
         "plane": rdesc,
     }
-    return b"".join(secs), desc
+    return secs, desc
 
 
 def encode_list(arr: pa.Array, child_choice: dict) -> tuple[bytes, dict]:
@@ -461,11 +462,12 @@ def encode_list(arr: pa.Array, child_choice: dict) -> tuple[bytes, dict]:
     child = arr.flatten()  # skips null slots' ranges
     len_blob, len_desc = _encode_lengths(lengths)
     if child_choice.get("codec") == "for_rows" and child.null_count == 0:
-        child_blob, child_desc = _encode_child_for_rows(
+        child_secs, child_desc = _encode_child_for_rows(
             child, lengths, try_dict=child_choice.get("dict", True)
         )
     else:
         child_blob, child_desc = encode_array(child, child_choice)
+        child_secs = [child_blob]
     field = arr.type.value_field
     desc = {
         "kind": "list",
@@ -478,9 +480,11 @@ def encode_list(arr: pa.Array, child_choice: dict) -> tuple[bytes, dict]:
         "lengths": len_desc,
         "child": child_desc,
     }
-    sections += [len_blob, child_blob]
-    desc["sections"] = [len(s) for s in sections]
-    return b"".join(sections), desc
+    # the child is one section of the list blob, however many it has
+    desc["sections"] = [len(s) for s in sections] + [
+        len(len_blob), sum(len(s) for s in child_secs)
+    ]
+    return b"".join(sections + [len_blob] + child_secs), desc
 
 
 def decode_list(blob: bytes, desc: dict) -> pa.Array:

@@ -460,3 +460,188 @@ def _check_roundtrip(name):
         want = np.full(len(lengths), empty, dtype=np.int64)
         want[ne] = fn.reduceat(v, starts)
         np.testing.assert_array_equal(got, want)
+
+
+def _detect_dict_reference(plane, bases, ranges, codes, offsets):
+    """The two-pass detector before the row probes, kept as the oracle:
+    candidates by a full lexsort, then a LUT lookup and a per-row coverage
+    reduce over every token of every block."""
+    n, rows = len(plane), len(codes)
+    if n == 0 or rows == 0 or plane.dtype.itemsize > 4:
+        return None, 0
+    gmax = int(np.max(bases.astype(np.uint64) + ranges.astype(np.uint64)))
+    if gmax >= rowcodec._DICT_MAX_PLANE:
+        return None, 0
+    counts = np.bincount(plane.astype(np.int64), minlength=gmax + 1)
+    nz = np.flatnonzero(counts >= rowcodec._DICT_MIN_REPEATS)
+    if len(nz) < 2:
+        return None, 0
+    if len(nz) > rowcodec._DICT_MAX_CARD:
+        order = np.lexsort((nz, -counts[nz]))[: rowcodec._DICT_MAX_CARD]
+        cand = np.sort(nz[order])
+    else:
+        cand = nz
+    lut = np.zeros(gmax + 1, dtype=bool)
+    lut[cand] = True
+    lengths = np.diff(offsets)
+    wide = np.array([0, 0, 1, 1, 1, 0], dtype=bool)[codes]
+    eligible = np.zeros(rows, dtype=bool)
+    used = np.zeros(gmax + 1, dtype=bool)
+    for r0, r1, t0, t1 in rowcodec._blocks(offsets):
+        ne = lengths[r0:r1] > 0
+        if not ne.any():
+            continue
+        fl = lut[plane[t0:t1]]
+        el = eligible[r0:r1]
+        el[ne] = np.minimum.reduceat(fl, offsets[r0:r1][ne] - t0) & wide[r0:r1][ne]
+        if el.any():
+            used[plane[t0:t1][np.repeat(el, lengths[r0:r1])]] = True
+    hot = np.flatnonzero(used)
+    if not eligible.any() or not (2 <= len(hot) <= rowcodec._DICT_MAX_CARD):
+        return None, 0
+    codes[eligible] = rowcodec.DICT_CODE
+    return hot, 1 if len(hot) <= 256 else 2
+
+
+def _detector_inputs(plane, offsets, signed):
+    """(bases, ranges, width codes) as encode_child hands them over."""
+    pw = plane.dtype.itemsize
+    view = plane.view(intcodec._SIGNED_OF_WIDTH[pw]) if signed else plane
+    bases, ranges = rowcodec.row_ranges(view, offsets)
+    bases, ranges = bases.view(plane.dtype), ranges.view(plane.dtype)
+    return bases, ranges, np.searchsorted(rowcodec._CODE_BOUNDS, ranges).astype(np.uint8)
+
+
+def _rows_plane(pieces, dt=np.uint32):
+    vals = np.concatenate([np.asarray(p, dtype=np.int64) for p in pieces]).astype(dt)
+    offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in pieces], out=offsets[1:])
+    return vals.view(np.dtype(f"u{vals.itemsize}")), offsets
+
+
+def _detector_plane(name):
+    """Seeded (plane, offsets, signed) for the detector equivalence cases."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    alphabet = np.sort(rng.choice(50_000, size=40, replace=False))
+    pick = lambda k: alphabet[rng.integers(0, len(alphabet), size=k)]  # noqa: E731
+    if name == "probe_pass_mid_fail":
+        # every row passes the probes at 0, 16, 32, 48; a third of them
+        # hide one value seen once (never a candidate) between probes
+        pieces = [pick(64) for _ in range(300)]
+        for i, row in enumerate(pieces[::3]):
+            row[7 + 8 * (i % 5)] = 60_000 + i
+        return (*_rows_plane(pieces), False)
+    if name == "empties_and_singles":
+        pieces = []
+        for k in rng.choice(["e", "1", "a", "x"], size=500):
+            size = {"e": 0, "1": 1, "a": int(rng.integers(2, 40)), "x": int(rng.integers(2, 40))}[k]
+            pieces.append(rng.integers(0, 50_000, size=size) if k == "x" else pick(size))
+        return (*_rows_plane(pieces), False)
+    if name == "no_wide_rows":
+        pieces = [int(rng.integers(0, 40_000)) + pick(int(rng.integers(0, 30))) % 200
+                  for _ in range(400)]
+        return (*_rows_plane(pieces), False)
+    if name == "one_alphabet":
+        pieces = [pick(int(rng.integers(0, 100))) for _ in range(400)]
+        return (*_rows_plane(pieces), False)
+    if name == "ties_at_cutoff":
+        # 6,000 values repeated 4-6 times: the 4096th count is shared by
+        # values on both sides of the cut, so the tie rule picks the table
+        vals = np.repeat(np.arange(6000) * 8, rng.integers(4, 7, size=6000))
+        rng.shuffle(vals)
+        return (*_rows_plane(np.split(vals, np.arange(3, len(vals), 3))), False)
+    if name == "gmax_near_bound":
+        top = rowcodec._DICT_MAX_PLANE - 1
+        alphabet = np.append(rng.choice(np.arange(top - 5000, top), size=39, replace=False), top)
+        pieces = [alphabet[rng.integers(0, 40, size=int(rng.integers(0, 60)))] for _ in range(400)]
+        pieces += [rng.integers(60_000, 1 << 19, size=20) for _ in range(50)]
+        return (*_rows_plane(pieces), False)
+    if name == "signed_nonneg_i32":
+        pieces = [pick(int(rng.integers(0, 60))) for _ in range(300)]
+        pieces += [rng.integers(60_000, 1 << 19, size=20) for _ in range(50)]
+        return (*_rows_plane(pieces, np.int32), True)
+    if name == "signed_negative_i32":
+        pieces = [pick(int(rng.integers(0, 60))) - 30_000 for _ in range(300)]
+        return (*_rows_plane(pieces, np.int32), True)
+    if name == "signed_i16":
+        pieces = [pick(int(rng.integers(0, 60))) // 2 for _ in range(300)]
+        return (*_rows_plane(pieces, np.int16), True)
+    return _for_rows_fixture(name)
+
+
+_DETECTOR_PLANES = [
+    "probe_pass_mid_fail", "empties_and_singles", "no_wide_rows", "one_alphabet",
+    "ties_at_cutoff", "gmax_near_bound", "signed_nonneg_i32", "signed_negative_i32",
+    "signed_i16",
+] + sorted(_PIN_FIXTURES)
+
+
+def _both_detectors(name):
+    plane, offsets, signed = _detector_plane(name)
+    bases, ranges, codes = _detector_inputs(plane, offsets, signed)
+    got_codes, want_codes = codes.copy(), codes.copy()
+    got = rowcodec._detect_dict(plane, bases, ranges, got_codes, offsets)
+    want = _detect_dict_reference(plane, bases, ranges, want_codes, offsets)
+    return got, got_codes, want, want_codes
+
+
+class TestDetectDictEquivalence:
+    """The probing detector finds the same (table, code width, codes) as
+    the full two-pass check on every plane shape, at any block size."""
+
+    @pytest.mark.parametrize("block", [1, 3, 64, 4096, rowcodec._BLOCK])
+    @pytest.mark.parametrize("name", _DETECTOR_PLANES)
+    def test_matches_reference(self, name, block, monkeypatch):
+        monkeypatch.setattr(rowcodec, "_BLOCK", block)
+        (hot, w), codes, (want_hot, want_w), want_codes = _both_detectors(name)
+        assert w == want_w
+        assert (hot is None) == (want_hot is None)
+        if hot is not None:
+            np.testing.assert_array_equal(hot, want_hot)
+        np.testing.assert_array_equal(codes, want_codes)
+
+    def test_planes_reach_their_cases(self):
+        """Each hand-built plane exercises what its name says."""
+        found = {}
+        for name in _DETECTOR_PLANES[:9]:
+            (hot, w), codes, _, _ = _both_detectors(name)
+            found[name] = (hot, w, int((codes == rowcodec.DICT_CODE).sum()))
+        assert found["probe_pass_mid_fail"][2] == 200  # the 100 planted rows fail
+        assert found["empties_and_singles"][1] == 1
+        assert found["no_wide_rows"][0] is None
+        assert found["one_alphabet"][1] == 1
+        assert found["ties_at_cutoff"][1] == 2
+        assert found["gmax_near_bound"][0][-1] == rowcodec._DICT_MAX_PLANE - 1
+        assert found["signed_nonneg_i32"][1] == 1
+        assert found["signed_negative_i32"][0] is None
+        assert found["signed_i16"][1] == 1
+        # the tie straddles the cut: more values share the 4096th count
+        # than the slots left for them
+        plane, _, _ = _detector_plane("ties_at_cutoff")
+        counts = np.bincount(plane)
+        c = np.sort(counts[counts >= rowcodec._DICT_MIN_REPEATS])[::-1]
+        t = c[rowcodec._DICT_MAX_CARD - 1]
+        assert (c == t).sum() > rowcodec._DICT_MAX_CARD - (c > t).sum() > 0
+
+    def test_all_eligible_gather_is_block_sized(self):
+        """When every row qualifies the survivors are the whole plane; they
+        are gathered block by block, so the detector's traced peak grows by
+        under 2 bytes per added token (one whole-plane int64 index adds 8)."""
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        alphabet = np.sort(rng.choice(50_000, size=64, replace=False)).astype(np.uint32)
+        peaks, toks = [], []
+        for rows in (8_000, 32_000):
+            plane = alphabet[rng.integers(0, 64, size=rows * 64)]
+            offsets = np.arange(rows + 1, dtype=np.int64) * 64
+            bases, ranges, codes = _detector_inputs(plane, offsets, False)
+            tracemalloc.start()
+            try:
+                hot, _ = rowcodec._detect_dict(plane, bases, ranges, codes, offsets)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(hot) == 64 and (codes == rowcodec.DICT_CODE).all()
+            toks.append(len(plane))
+        assert peaks[1] - peaks[0] < 2 * (toks[1] - toks[0])

@@ -277,6 +277,44 @@ class TestRollupTier:
             assert r["min"] == int(sub.n_tok.min())
             assert r["max"] == int(sub.n_tok.max())
 
+    def test_rollup_partial_nulls_match_pandas_reference(self):
+        """Null sources form one group sorted last, count covers null
+        values, and an all-null n_tok group reports None sum/min/max: the
+        rows equal the pandas groupby the rollup used to be."""
+        import numpy as np
+        import pandas as pd
+        import pyarrow as pa
+
+        from duckdb_raquet_ray.stages import encoder as enc
+
+        def reference(t):
+            df = pd.DataFrame({"g": t.column("source").to_pandas(), "v": t.column("n_tok").to_pandas()})
+            agg = df.groupby("g", dropna=False)["v"].agg(["size", "sum", "min", "max"])
+            rows = []
+            for g, r in agg.iterrows():
+                all_null = pd.isna(r["min"])
+                rows.append({
+                    "source": None if pd.isna(g) else str(g),
+                    "count": int(r["size"]),
+                    "sum": None if all_null else int(r["sum"]),
+                    "min": None if all_null else int(r["min"]),
+                    "max": None if all_null else int(r["max"]),
+                })
+            rows.sort(key=lambda r: (r["source"] is None, r["source"]))
+            return rows
+
+        rng = np.random.default_rng(9)
+        src = rng.choice(["web", "code", "books", "empty", None], size=500).tolist()
+        n_tok = [
+            None if s == "empty" or rng.random() < 0.2 else int(v)
+            for s, v in zip(src, rng.integers(0, 5000, size=500))
+        ]
+        t = pa.table({"source": pa.array(src), "n_tok": pa.array(n_tok, pa.int32())})
+        rows = enc.source_rollup_partial(t)
+        assert rows == reference(t)
+        assert rows[-1]["source"] is None
+        assert {r["source"]: r["sum"] for r in rows}["empty"] is None
+
     def test_finalize_persists_rollups_and_reader_prefers_metadata(self, tmp_path):
         out = str(tmp_path)
         w = mf.ManifestWriter(out)
