@@ -41,8 +41,11 @@ plane codecs).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from ..util import fork_join
 from . import general, intcodec
 
 _WIDTH_OF_CODE = {1: 1, 2: 2, 3: 4, 4: 8}
@@ -262,37 +265,50 @@ def encode_child(
         rank_lut = np.zeros(int(hot[-1]) + 1, dtype=_NP_OF_WIDTH[code_w])
         rank_lut[hot] = np.arange(len(hot), dtype=rank_lut.dtype)
 
-    # each bucket's lane-major byte streams, filled at a running offset
+    # each bucket's lane-major byte streams, filled at a running offset from
+    # two starts: the caller fills the first half of the blocks from 0 while
+    # the helper (util.fork_join) fills the second half from each bucket's
+    # token count in the first half's rows
     cnt_by_code = np.bincount(codes, weights=lengths, minlength=6).astype(np.int64)
     widths = {c: _WIDTH_OF_CODE.get(c, code_w) for c in (1, 2, 3, 4, DICT_CODE) if cnt_by_code[c]}
     streams = {c: np.empty((w, cnt_by_code[c]), dtype=np.uint8) for c, w in widths.items()}
-    done = dict.fromkeys(widths, 0)
-    for r0, r1, t0, t1 in blocks:
-        ln = lengths[r0:r1]
-        resid = plane[t0:t1] - fill_rowwise(bases[r0:r1], ln)
-        per = np.bincount(codes[r0:r1], weights=ln, minlength=6).astype(np.int64)
-        wtok = None
-        for c, w in widths.items():
-            k = int(per[c])
-            if k == 0:
-                continue
-            vals = resid
-            if k < t1 - t0:
-                if wtok is None:
-                    wtok = fill_rowwise(codes[r0:r1], ln)
-                mask = wtok == c
-                # residual buckets gather straight from the LOW-ORDER byte
-                # lane: the strided view reads w of every pw bytes, so the
-                # narrow cast is fused into the gather (values < 2^(8w))
-                src = resid if c == DICT_CODE else resid.view(_NP_OF_WIDTH[w])[:: pw // w]
-                vals = src[mask]
-            if c == DICT_CODE:
-                vals = rank_lut[vals]
-            # the low w bytes of each value, one byte lane per stream row
-            vb = vals.view(np.uint8).reshape(k, -1)
-            for j in range(w):
-                streams[c][j, done[c] : done[c] + k] = vb[:, j]
-            done[c] += k
+
+    def fill(part, done):
+        for r0, r1, t0, t1 in part:
+            ln = lengths[r0:r1]
+            resid = plane[t0:t1] - fill_rowwise(bases[r0:r1], ln)
+            per = np.bincount(codes[r0:r1], weights=ln, minlength=6).astype(np.int64)
+            wtok = None
+            for c, w in widths.items():
+                k = int(per[c])
+                if k == 0:
+                    continue
+                vals = resid
+                if k < t1 - t0:
+                    if wtok is None:
+                        wtok = fill_rowwise(codes[r0:r1], ln)
+                    mask = wtok == c
+                    # residual buckets gather straight from the LOW-ORDER
+                    # byte lane: the strided view reads w of every pw bytes,
+                    # so the narrow cast is fused into the gather (< 2^(8w))
+                    src = resid if c == DICT_CODE else resid.view(_NP_OF_WIDTH[w])[:: pw // w]
+                    vals = src[mask]
+                if c == DICT_CODE:
+                    vals = rank_lut[vals]
+                # the low w bytes of each value, one byte lane per stream row
+                vb = vals.view(np.uint8).reshape(k, -1)
+                o = done[c]
+                for j in range(w):
+                    streams[c][j, o : o + k] = vb[:, j]
+                done[c] += k
+
+    half = (len(blocks) + 1) // 2
+    split = blocks[half][0] if half < len(blocks) else rows
+    fork_join(
+        partial(fill, blocks[:half], np.zeros(6, dtype=np.int64)),
+        partial(fill, blocks[half:],
+                np.bincount(codes[:split], weights=lengths[:split], minlength=6).astype(np.int64)),
+    )
 
     sections: list[bytes] = []
     buckets: list[dict] = []

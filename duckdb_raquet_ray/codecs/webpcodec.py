@@ -417,11 +417,6 @@ def _inv_color_transform(img: np.ndarray, bits: int, data: np.ndarray) -> None:
     img[:, :, 3] = b.astype(np.uint8)
 
 
-def _clamp_add_sub_half(a: int, b: int, c: int) -> int:
-    v = a + b - c
-    return 0 if v < 0 else (255 if v > 255 else v)
-
-
 def _inv_predictor(img: np.ndarray, bits: int, data: np.ndarray) -> None:
     """14 predictor modes, applied per tile; stored pixel values are
     residuals to ADD (mod 256) to the prediction. Scan order over the

@@ -55,11 +55,11 @@ DEFAULT_PART_BYTES = 64 * 1024 * 1024  # decoded bytes per partition
 MIN_PART_BYTES = 8 * 1024 * 1024
 MAX_PART_BYTES = 256 * 1024 * 1024
 TASKS_PER_CPU = 4  # target work-items per core, for pipelining + stragglers
-# encoder-family tasks (encode / compact / delete) reserve 2 logical CPUs
-# each: the kernel is memory-bandwidth bound (measured: 16 concurrent
-# encoders beat 32 on a 32-vCPU box, 0.72 vs 0.36 GB/s — DRAM and host fault
-# handling saturate near half the cores), so half-density slots are the
-# right per-node sizing
+# encoder-family tasks (encode / append / compact / delete / grouped reduce)
+# reserve 2 logical CPUs each and run two threads on them: util.fork_join
+# puts half of a partition's row-group reads, the columns after the largest
+# plus the column stats, and half of the token kernel's stream fill on a
+# helper thread
 ENCODER_NUM_CPUS = 2
 
 _KEYS = LocalDict()  # the latest delete's keys + typed value sets

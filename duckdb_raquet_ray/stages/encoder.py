@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -34,6 +35,7 @@ import pyarrow.parquet as pq
 
 from .. import blockcodec as bc
 from .. import planner
+from ..util import fork_join
 
 ENCODED_FIXED_COLS = ("partition_id", "n_rows", "codec_meta")
 
@@ -189,15 +191,26 @@ def read_partition(shard: str, row_groups: list[int]) -> pa.Table:
               or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
             built[field.name] = _ConcatColumn()
         leaf += _n_leaves(t)
-    # single-threaded reads: each task owns its CPUs; pyarrow's default
-    # thread pool is sized to the whole machine, and N tasks x N arrow
-    # threads thrash the scheduler at high concurrency
-    for rg in row_groups if built else ():
-        part = pf.read_row_groups([rg], columns=list(built), use_threads=False)
-        for name, col in built.items():
-            for arr in part.column(name).chunks:
-                col.add(arr)
-        del part  # free this row group before the next one is read
+    # each thread reads through its own handle (a ParquetFile is not shared
+    # across threads) with use_threads=False: pyarrow's default pool is
+    # sized to the whole machine, and N tasks x N arrow threads thrash the
+    # scheduler. The helper (util.fork_join) reads every other row group,
+    # at most one ahead of the caller, which copies them in order: the peak
+    # is the result plus two row groups
+    cols, rgs = list(built), row_groups if built else []
+    other = pq.ParquetFile(shard) if len(rgs) > 1 else None
+
+    def read(handle, i):
+        if i < len(rgs):  # None past the range's end
+            return handle.read_row_groups([rgs[i]], columns=cols, use_threads=False)
+        return None
+
+    for i in range(0, len(rgs), 2):
+        for part in fork_join(partial(read, pf, i), partial(read, other, i + 1)):
+            for name, col in built.items() if part is not None else ():
+                for arr in part.column(name).chunks:
+                    col.add(arr)
+        del part  # free both row groups before the next pair is read
     rest = [f.name for f in schema if f.name not in built]
     whole = pf.read_row_groups(row_groups, columns=rest, use_threads=False) if rest else None
     return pa.Table.from_arrays(
@@ -366,17 +379,29 @@ def encode_table(
     a sorted table, or a concat that drops an all-valid bitmap — report
     another figure."""
     plan = plan or planner.plan_table(table)
+    names = table.column_names
+
+    # the caller encodes the columns up to the largest; the helper
+    # (util.fork_join) the rest, then the stats and the rollup. Inline,
+    # that is column order
+    big = max(range(len(names)), key=lambda i: table.column(i).nbytes, default=-1)
+
+    def encode(cols):
+        return [bc.encode_array(table.column(name), plan[name]) for name in cols]
+
+    def rest():
+        return encode(names[big + 1 :]), column_stats(table), source_rollup_partial(table)
+
+    head, (tail, stats, rollup) = fork_join(partial(encode, names[: big + 1]), rest)
     descs: dict[str, dict] = {}
     blobs: dict[str, bytes] = {}
     fsst_hashes: list[str] = []
-    for name in table.column_names:
-        blob, desc = bc.encode_array(table.column(name), plan[name])
+    for name, (blob, desc) in zip(names, head + tail):
         blobs[name] = blob
         descs[name] = desc
         _collect_fsst_hashes(desc, fsst_hashes)
     # NOTE: no sort_keys — key order IS the column order on decode
     meta_json = json.dumps(descs)
-    stats = column_stats(table)
     cols: dict[str, pa.Array] = {
         "partition_id": pa.array([pid], type=pa.uint64()),
         "n_rows": pa.array([table.num_rows], type=pa.int64()),
@@ -420,7 +445,6 @@ def encode_table(
         "stats": stats,
         "status": "done",
     }
-    rollup = source_rollup_partial(table)
     if rollup is not None:
         entry["rollup"] = {"n_tok_by_source": rollup}
     if fsst_hashes:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 
 def strip_schema_metadata(batch):
     """Drop Arrow schema-level metadata (zero-copy). Parquet written by
@@ -152,8 +156,6 @@ def retain_heap() -> None:
     # pid-keyed, not a bool: the flag travels INTO workers when the module
     # ships by value, and a driver-set True must not make a fresh worker
     # skip the mallopt
-    import os
-
     global _HEAP_RETAINED_PID
     if _HEAP_RETAINED_PID == os.getpid():
         return
@@ -190,14 +192,48 @@ def default_concurrency() -> int:
     except Exception:
         n = 0
     if n <= 0:
-        import os
-
         n = os.cpu_count() or 4
     return n
 
 
-def _run_stage(batch, stage, kwargs):
-    return stage(**kwargs)(batch)
+# pid -> [ident of the thread running a 2-CPU stage | None, helper pool | None]
+# (pid-keyed: a forked child inherits the dict but not the helper thread)
+_FORK = LocalDict()
+
+
+# Inside a task whose stage reserved two CPUs (`map_stage` hands its
+# ``num_cpus`` to `_run_stage`), ``second`` runs on this process's one
+# helper thread while the calling thread runs ``first``: the task's second
+# CPU. Everywhere else both run inline, ``first`` then ``second``: in the
+# driver, in 1-CPU tasks, in direct stage calls and on the helper itself
+# (a fork on the one helper thread would wait on itself). The caller waits
+# for ``second`` before it returns or raises, so none of its writes lands
+# after the call. The halves must write disjoint data; numpy's large
+# passes, Parquet reads and zstd release the GIL, so they overlap. (Kept
+# out of the docstring: docstrings ship in every by-value task pickle.)
+def fork_join(first, second):
+    """Run ``first()`` and ``second()``; return both results."""
+    st = _FORK.setdefault(os.getpid(), [None, None])
+    if st[0] != threading.get_ident():
+        return first(), second()
+    if st[1] is None:
+        st[1] = ThreadPoolExecutor(1, thread_name_prefix="fork-join-helper")
+    fut = st[1].submit(second)
+    try:
+        a = first()
+    finally:
+        wait((fut,))
+    return a, fut.result()
+
+
+def _run_stage(batch, stage, kwargs, num_cpus):
+    # a stage that reserved two CPUs may fork on the thread that runs it
+    st = _FORK.setdefault(os.getpid(), [None, None])
+    st[0] = threading.get_ident() if num_cpus >= 2 else None
+    try:
+        return stage(**kwargs)(batch)
+    finally:
+        st[0] = None
 
 
 def map_stage(items: list, stage, kwargs: dict, *, concurrency, num_cpus: int = 1,
@@ -222,7 +258,8 @@ def map_stage(items: list, stage, kwargs: dict, *, concurrency, num_cpus: int = 
     tasks = max(1, min(tasks, -(-len(items) // batch_size)))
     ds = rd.from_items(items, override_num_blocks=max(len(items), 1))
     return ds.map_batches(
-        _run_stage, fn_kwargs={"stage": stage, "kwargs": kwargs}, batch_size=batch_size,
+        _run_stage, fn_kwargs={"stage": stage, "kwargs": kwargs, "num_cpus": num_cpus},
+        batch_size=batch_size,
         batch_format="pyarrow", concurrency=tasks, num_cpus=num_cpus, ray_remote_args_fn=dict,
     )
 

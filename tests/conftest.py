@@ -30,3 +30,19 @@ def corpus_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("corpus")
     tk.write_corpus(str(d), 4000, 4, row_group_rows=512)
     return str(d)
+
+
+@pytest.fixture
+def two_cpus():
+    """Run a callable the way a stage that reserved two CPUs runs in its
+    task (util._run_stage): util.fork_join's halves on two threads."""
+    from duckdb_raquet_ray import util
+
+    class _Call:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def __call__(self, batch):
+            return self.fn()
+
+    return lambda fn: util._run_stage(None, _Call, {"fn": fn}, 2)

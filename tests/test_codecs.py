@@ -431,6 +431,16 @@ class TestRowcodecBytePin:
             _check_pinned(name)
             _check_roundtrip(name)
 
+    @pytest.mark.parametrize("block", [1, 3, 64, 4096, 65536])
+    def test_pins_hold_on_two_threads(self, block, monkeypatch, two_cpus):
+        """In a 2-CPU task the helper thread fills the bucket streams of
+        the second half of the blocks, from each bucket's token count in
+        the first half's rows: one block (nothing for the helper), odd
+        block counts and the dict bucket all give the pinned bytes."""
+        monkeypatch.setattr(rowcodec, "_BLOCK", block)
+        for name in sorted(_PIN_FIXTURES):
+            two_cpus(lambda: _check_pinned(name))
+
 
 def _check_pinned(name):
     _, _, blob, desc = _pin_encode(name)

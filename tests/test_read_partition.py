@@ -114,6 +114,23 @@ def test_matches_bulk_read(name, tmp_path):
             assert got.column(c).num_chunks == bulk.column(c).num_chunks
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_two_threads_match_bulk_read(name, tmp_path, two_cpus):
+    """In a 2-CPU task the helper reads every other row group through its
+    own handle and the caller copies them in order: 1, 2 and odd counts."""
+    path = FIXTURES[name](tmp_path)
+    n = pq.ParquetFile(path).metadata.num_row_groups
+    for k in sorted({1, min(2, n), n - 1 + n % 2, n}):  # 1, 2, an odd count, all
+        rgs = list(range(n - k, n))
+        bulk = pq.ParquetFile(path).read_row_groups(rgs, use_threads=False)
+        got = two_cpus(lambda: enc.read_partition(path, rgs))
+        assert got.equals(bulk), rgs
+        assert got.schema.equals(bulk.schema, check_metadata=True)
+        assert got.nbytes == bulk.nbytes
+        for c in bulk.column_names:
+            assert got.column(c).null_count == bulk.column(c).null_count
+
+
 _PEAK = """
 import os, sys
 import pyarrow as pa, pyarrow.parquet as pq
@@ -124,6 +141,12 @@ pool = pa.proxy_memory_pool(pa.system_memory_pool())
 pa.set_memory_pool(pool)
 if how == "reader":
     t = enc.read_partition(path, list(range(n)))
+elif how == "two_threads":  # as a 2-CPU task runs it: util.fork_join's helper reads
+    from duckdb_raquet_ray import util
+    class Read:
+        def __call__(self, batch):
+            return enc.read_partition(path, list(range(n)))
+    t = util._run_stage(None, Read, {}, 2)
 else:
     t = pq.ParquetFile(path).read_row_groups(list(range(n)), use_threads=False)
 print(pool.max_memory() / t.nbytes, flush=True)
@@ -140,8 +163,10 @@ def _peak_ratio(path, how):
 
 def test_peak_allocation_near_result_size(tmp_path):
     """The reader's peak Arrow allocation on a 16-row-group token
-    partition stays under 1.5x the result's nbytes; the bulk read of the
+    partition stays under 1.5x the result's nbytes, with the helper thread
+    reading one row group ahead too; the bulk read of the
     same row groups peaks near 3x and more."""
     path = tk.write_corpus(str(tmp_path), 8000, 1, row_group_rows=512)[0]
     assert _peak_ratio(path, "reader") < 1.5
+    assert _peak_ratio(path, "two_threads") < 1.5
     assert _peak_ratio(path, "bulk") > 2.0
